@@ -18,13 +18,15 @@ pc column and the sparse memory/branch planes instead of building one
 tables are cached on the program object:
 
 * the generic table — one handler per opcode, routing every produced
-  value through the fault surface; used whenever a fault surface is
-  installed or an FU class has multiple units;
+  value through the fault surface and round-robin unit selection; used
+  whenever the surface may react to some FU value;
 * the fast table — one *per-pc* closure with the instruction's register
-  indices, immediates and masks bound at build time, used by healthy
-  single-unit cores (the overwhelmingly common case: main trace runs,
-  checkpoint passes, and healthy checker replays).  Bit-identical to the
-  generic table with a :class:`NoFaults` surface by construction.
+  indices, immediates and masks bound at build time, used by cores whose
+  surface is FU-inert (no ``activation_sites``: healthy cores — main
+  trace runs, checkpoint passes, healthy checker replays — and faulty
+  checkers whose fault has no live FU site, such as register faults and
+  spent transients).  Bit-identical to the generic table with an FU-inert
+  surface by construction.
 
 ``TraceEntry`` remains as the object view; ``RunResult.trace``
 materialises it lazily from the columns.
@@ -44,6 +46,7 @@ from repro.mem.memory import Memory
 
 _MASK64 = (1 << 64) - 1
 _SIGN = 1 << 63
+_FU_KINDS = tuple(FUKind)
 
 
 def to_signed(value: int) -> int:
@@ -72,6 +75,10 @@ class NoFaults:
     def apply(self, fu: FUKind, unit: int, value: int | float,
               is_address: bool = False) -> int | float:
         return value
+
+    def activation_sites(self, fu_counts) -> frozenset:
+        del fu_counts
+        return frozenset()
 
 
 class MemoryPort(Protocol):
@@ -285,27 +292,33 @@ class FunctionalCore:
         self.nonrep = nonrep or MainNonRepSource()
         self.fault = fault_surface or NoFaults()
         self.fu_counts = fu_counts or {}
-        self._fu_rr: dict[FUKind, int] = {}
+        # Round robin indexed by FUKind.index: unit counts, next unit.
+        self._fu_units = [self.fu_counts.get(fu, 1) for fu in _FU_KINDS]
+        self._fu_next = [0] * len(_FU_KINDS)
         self.pc = program.entry if start_pc is None else start_pc
         self.committed = 0
         self.halted = False
         self._cols = _NULL_COLUMNS
-        # Healthy single-unit cores run the per-pc fast handler table,
-        # which skips the fault surface and round-robin unit selection
-        # entirely (their slow-path results are identities by
-        # construction, so this is bit-exact).
-        self._fast = (type(self.fault) is NoFaults
-                      and all(c <= 1 for c in self.fu_counts.values()))
+        # Cores whose surface is FU-inert — it declares no (fu, unit)
+        # activation site (see repro.faults.models) — run the per-pc
+        # fast handler table, which skips the fault surface and
+        # round-robin unit selection entirely (their slow-path results
+        # are identities by construction, so this is bit-exact whatever
+        # the unit counts).  A surface without ``activation_sites``
+        # might react anywhere.
+        sites = getattr(self.fault, "activation_sites", None)
+        self._fast = sites is not None and not sites(self.fu_counts)
 
     # -- functional-unit plumbing -------------------------------------------
 
     def _unit_for(self, fu: FUKind) -> int:
         """Round-robin unit selection, so stuck-at faults hit a subset of ops."""
-        count = self.fu_counts.get(fu, 1)
+        index = fu.index
+        count = self._fu_units[index]
         if count <= 1:
             return 0
-        nxt = self._fu_rr.get(fu, 0)
-        self._fu_rr[fu] = (nxt + 1) % count
+        nxt = self._fu_next[index]
+        self._fu_next[index] = (nxt + 1) % count
         return nxt
 
     def _alu(self, fu: FUKind, value: int) -> int:

@@ -272,39 +272,62 @@ class CampaignOutcome:
 
 # -- worker side (runs in pool processes, and inline for jobs=1) -------------
 
-#: Per-process campaign contexts, keyed by spec key.  Bounded like the
-#: sweep worker caches: a long-lived pool cycling through campaigns must
-#: not pin every program/segment list forever.
+#: Per-process campaign contexts, keyed by spec key: the only campaign
+#: cache.  Bounded like the sweep worker caches — a long-lived pool
+#: cycling through campaigns must not pin every program/segment list
+#: forever — but by distinct substrates, so the specs (one per scheme)
+#: sharing one substrate never evict each other.
 _CONTEXTS: dict = {}
 _CONTEXT_LIMIT = 4
 
 
 @dataclass
-class _CampaignContext:
-    """The per-process heavy state shared by all of one spec's trials."""
+class _Substrate:
+    """The scheme-independent state every spec of one checked run shares:
+    the segments, the covered list and the golden FU stream."""
 
-    campaign: object  # FaultCampaign
+    key: tuple
+    program: object  # Program
+    checker_config: object  # CoreConfig
+    segments: list
     covered: list[int]
-    segments: int
+    golden: object  # GoldenStream
 
 
-def _campaign_context(spec: CampaignSpec) -> _CampaignContext:
-    """Build-or-fetch this process's context for ``spec``.
+@dataclass
+class _CampaignContext:
+    """The per-process state of one spec: its scheme's trial runner on a
+    (possibly shared) substrate."""
+
+    campaign: object  # FaultCampaign or a scenario campaign
+    substrate: _Substrate
+
+
+def _substrate_key(spec: CampaignSpec) -> tuple:
+    return (spec.workload, spec.checkers, spec.mode, spec.hash_mode,
+            spec.instructions, spec.seed)
+
+
+def _substrate(spec: CampaignSpec) -> _Substrate:
+    """Fetch ``spec``'s substrate off a cached context, or build it.
 
     Reuses the sweep engine's process-global
     :func:`~repro.harness.parallel.worker_cache`, so the functional
     trace (and, with ``REPRO_TRACE_CACHE``, its on-disk copy) is shared
     with sweep and serve workloads running in the same pool.
     """
-    key = spec.key()
-    ctx = _CONTEXTS.get(key)
-    if ctx is not None:
-        return ctx
+    key = _substrate_key(spec)
+    for ctx in _CONTEXTS.values():
+        if ctx.substrate.key == key:
+            return ctx.substrate
 
     from repro.cli import parse_checkers
     from repro.core.system import CheckMode, ParaVerserSystem
-    from repro.faults.campaign import covered_segments
-    from repro.faults.scenarios import make_campaign
+    from repro.faults.campaign import (
+        GoldenStream,
+        checker_fu_counts,
+        covered_segments,
+    )
     from repro.harness.parallel import worker_cache
     from repro.harness.runner import make_config
 
@@ -315,15 +338,38 @@ def _campaign_context(spec: CampaignSpec) -> _CampaignContext:
     cached = cache.get(spec.workload)
     result = cache.run_config(spec.workload, config)
     segments = ParaVerserSystem(config).segment(cached.run)
-    campaign = make_campaign(spec.scheme, cached.program, segments,
-                             config.checkers[0].config,
-                             hash_mode=spec.hash_mode, seed=spec.seed)
-    ctx = _CampaignContext(campaign=campaign,
-                           covered=covered_segments(result),
-                           segments=len(segments))
-    _CONTEXTS[key] = ctx
-    while len(_CONTEXTS) > _CONTEXT_LIMIT:
-        _CONTEXTS.pop(next(iter(_CONTEXTS)))
+    checker_config = config.checkers[0].config
+    golden = GoldenStream(cached.program, segments,
+                          checker_fu_counts(checker_config))
+    return _Substrate(key=key, program=cached.program,
+                      checker_config=checker_config, segments=segments,
+                      covered=covered_segments(result), golden=golden)
+
+
+def _campaign_context(spec: CampaignSpec) -> _CampaignContext:
+    """Build-or-fetch this process's context for ``spec``."""
+    key = spec.key()
+    ctx = _CONTEXTS.get(key)
+    if ctx is not None:
+        return ctx
+
+    from repro.faults.scenarios import make_campaign
+
+    substrate = _substrate(spec)
+    campaign = make_campaign(spec.scheme, substrate.program,
+                             substrate.segments, substrate.checker_config,
+                             hash_mode=spec.hash_mode, seed=spec.seed,
+                             golden=substrate.golden)
+    ctx = _CONTEXTS[key] = _CampaignContext(campaign=campaign,
+                                            substrate=substrate)
+    live = {id(c.substrate): c.substrate for c in _CONTEXTS.values()}
+    while len(live) > _CONTEXT_LIMIT:
+        # Drop every context of the oldest substrate.
+        oldest = next(iter(_CONTEXTS.values())).substrate
+        for spec_key in [k for k, c in _CONTEXTS.items()
+                         if c.substrate is oldest]:
+            del _CONTEXTS[spec_key]
+        del live[id(oldest)]
     return ctx
 
 
@@ -335,10 +381,11 @@ def run_trial_in_worker(spec: CampaignSpec, trial: int,
     ``(spec, trial)`` — the executing process is irrelevant.
     """
     ctx = _campaign_context(spec)
+    substrate = ctx.substrate
     kind, fault = fault_for_trial(
         spec.seed, trial, ctx.campaign.fu_counts,
-        kinds=spec.fault_kinds, segments=ctx.segments)
-    result = ctx.campaign.run_trial(fault, ctx.covered,
+        kinds=spec.fault_kinds, segments=len(substrate.segments))
+    result = ctx.campaign.run_trial(fault, substrate.covered,
                                     trial=trial, kind=kind)
     record = TrialRecord(
         trial=trial,

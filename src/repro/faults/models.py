@@ -13,6 +13,16 @@ disappear — the full-coverage mode must catch these too.
 Floating-point values are corrupted in their IEEE-754 bit pattern, which
 naturally reproduces the Meta anecdote of an FPU returning wrong values
 only for particular inputs.
+
+Every model declares its *activation sites*:
+``activation_sites(fu_counts)`` is the set of ``(fu, unit)`` keys,
+among those the checker's round robin over ``fu_counts`` produces, that
+its ``apply`` reacts to (it returns every other value untouched,
+without changing state).  A register fault has no FU sites;
+``strikes(index)`` names the one segment whose end snapshot it
+corrupts.  Campaign replay (:mod:`repro.faults.campaign`) uses the
+sites to skip segments the fault cannot change; a surface without
+``activation_sites`` replays every segment.
 """
 
 from __future__ import annotations
@@ -79,6 +89,10 @@ class StuckAtFault:
             where += " (LSQ address path)"
         return f"stuck-at-{self.stuck_at} bit {self.bit} on {where}"
 
+    def activation_sites(self, fu_counts) -> frozenset:
+        del fu_counts
+        return frozenset({(self.fu, self.unit)})
+
     def fresh(self) -> "StuckAtFault":
         """A stuck-at fault is stateless; reuse the same instance."""
         return self
@@ -122,6 +136,12 @@ class TransientFault:
         return (f"transient bit-{self.bit} flip on {where} "
                 f"at use {self.strike_at_use}")
 
+    def activation_sites(self, fu_counts) -> frozenset:
+        del fu_counts
+        if self.fired:
+            return frozenset()
+        return frozenset({(self.fu, self.unit)})
+
     def fresh(self) -> "TransientFault":
         """A copy with the use counter and fired flag reset."""
         return replace(self, _uses=0, fired=False)
@@ -150,6 +170,14 @@ class RegisterFault:
               is_address: bool = False) -> int | float:
         del fu, unit, is_address
         return value
+
+    def activation_sites(self, fu_counts) -> frozenset:
+        del fu_counts
+        return frozenset()
+
+    def strikes(self, segment_index: int) -> bool:
+        """Whether :meth:`corrupt_checkpoint` changes this segment's end."""
+        return not self.fired and segment_index == self.strike_segment
 
     def corrupt_checkpoint(
             self, checkpoint: RegisterCheckpoint,
@@ -229,6 +257,10 @@ class DefectFault:
         return (f"defect on {where}: pattern &0x{self.trigger_mask:x}=="
                 f"0x{self.trigger_value:x} xor 0x{self.corruption:x} "
                 f"after {self.latch_after} matches")
+
+    def activation_sites(self, fu_counts) -> frozenset:
+        return frozenset((fu, unit) for fu in self.fus
+                         for unit in range(max(1, fu_counts.get(fu, 1))))
 
     def fresh(self) -> "DefectFault":
         """A copy with the persistent match counter reset."""

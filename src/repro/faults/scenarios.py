@@ -40,11 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.checker import (
-    CheckerCore,
-    LogReplayInterface,
-    ReplayDetection,
-)
+from repro.core.checker import LogReplayInterface, ReplayDetection
 from repro.core.counter import Segment
 from repro.core.lsc import LoadStoreComparator
 from repro.core.rcu import RegisterCheckpointUnit
@@ -52,8 +48,11 @@ from repro.cpu.config import CoreConfig
 from repro.cpu.functional import ControlFlowEscape, FunctionalCore
 from repro.faults.campaign import (
     FaultCampaign,
+    GoldenStream,
     InjectionResult,
-    checker_fu_counts,
+    ReplayCampaign,
+    replay_pass,
+    same_checkpoint,
 )
 from repro.faults.models import (
     FAULT_DEFECT,
@@ -138,11 +137,18 @@ class DecorrelatedSurface:
     def __getattr__(self, name: str):
         # Register-file faults expose corrupt_checkpoint; delegate any
         # protocol extensions to the wrapped fault (register state is
-        # not address space, the remap does not apply).
+        # not address space, the remap does not apply).  That includes
+        # activation_sites: the remap changes values, not units, and off
+        # its sites the inner fault returns its input, so the remap
+        # composes to the identity there.  ``fault`` itself and dunders
+        # are never delegated: copy and pickle probe them on an instance
+        # whose fields are not set yet.
+        if name == "fault" or name.startswith("__"):
+            raise AttributeError(name)
         return getattr(self.fault, name)
 
 
-class DivergentCampaign:
+class DivergentCampaign(ReplayCampaign):
     """DME-style trials: replay every version, detect on any divergence.
 
     Detection latency is the earliest detecting segment across versions
@@ -152,11 +158,10 @@ class DivergentCampaign:
 
     def __init__(self, program: Program, segments: list[Segment],
                  checker_config: CoreConfig, hash_mode: bool = False,
-                 seed: int = 0, versions: int = DME_VERSIONS) -> None:
-        self.program = program
-        self.segments = segments
-        self.fu_counts = checker_fu_counts(checker_config)
-        self.hash_mode = hash_mode
+                 seed: int = 0, versions: int = DME_VERSIONS,
+                 golden: GoldenStream | None = None) -> None:
+        super().__init__(program, segments, checker_config,
+                         hash_mode=hash_mode, golden=golden)
         self.masks = tuple(decorrelation_mask(seed, v)
                            for v in range(versions))
 
@@ -167,21 +172,15 @@ class DivergentCampaign:
     def run_trial(self, fault, covered: list[int] | None = None,
                   trial: int = -1,
                   kind: str = FAULT_STUCK_AT) -> InjectionResult:
-        covered_set = set(covered) if covered is not None else None
+        checked, unchecked = self.split(covered)
         best: tuple[int, int, int] | None = None  # (end, version, segment)
         for version, mask in enumerate(self.masks):
-            checker = CheckerCore(
-                self.program, fault_surface=self._surface(fault, mask),
-                fu_counts=self.fu_counts, hash_mode=self.hash_mode)
-            for seg in self.segments:
-                if covered_set is not None and seg.index not in covered_set:
-                    continue
-                result = checker.check_segment(seg)
-                if result.detected:
-                    candidate = (seg.end, version, seg.index)
-                    if best is None or candidate < best:
-                        best = candidate
-                    break
+            hit = self.first_detection(self._surface(fault, mask), checked)
+            if hit is not None:
+                seg = hit[0]
+                candidate = (seg.end, version, seg.index)
+                if best is None or candidate < best:
+                    best = candidate
         if best is not None:
             return InjectionResult(
                 fault=fault, detected=True, masked=False,
@@ -191,23 +190,17 @@ class DivergentCampaign:
         # only if *every* version stays clean over the full trace; if
         # any uncovered segment diverges in any version, coverage (not
         # the scheme) missed an effective fault.
-        if covered_set is not None and len(covered_set) < len(self.segments):
-            for mask in self.masks:
-                full = CheckerCore(
-                    self.program, fault_surface=self._surface(fault, mask),
-                    fu_counts=self.fu_counts, hash_mode=self.hash_mode)
-                for seg in self.segments:
-                    if seg.index in covered_set:
-                        continue
-                    if full.check_segment(seg).detected:
-                        return InjectionResult(
-                            fault=fault, detected=False, masked=False,
-                            trial=trial, kind=kind)
+        if unchecked and any(
+                self.first_detection(self._surface(fault, mask),
+                                     unchecked) is not None
+                for mask in self.masks):
+            return InjectionResult(fault=fault, detected=False,
+                                   masked=False, trial=trial, kind=kind)
         return InjectionResult(fault=fault, detected=False, masked=True,
                                trial=trial, kind=kind)
 
 
-class ReducedObservabilityCampaign:
+class ReducedObservabilityCampaign(ReplayCampaign):
     """MEEK-style trials: retired-state checks at coarse checkpoints.
 
     Per-access LSL compares are disabled (the checker still *consumes*
@@ -221,11 +214,13 @@ class ReducedObservabilityCampaign:
 
     def __init__(self, program: Program, segments: list[Segment],
                  checker_config: CoreConfig, hash_mode: bool = False,
-                 interval: int = MEEK_CHECKPOINT_INTERVAL) -> None:
-        del hash_mode  # observability is fixed by the scheme itself
-        self.program = program
-        self.segments = segments
-        self.fu_counts = checker_fu_counts(checker_config)
+                 interval: int = MEEK_CHECKPOINT_INTERVAL,
+                 golden: GoldenStream | None = None) -> None:
+        # Observability is fixed by the scheme itself: the classify pass
+        # always runs full compares, whatever ``hash_mode`` says.
+        super().__init__(program, segments, checker_config,
+                         hash_mode=False, golden=golden)
+        del hash_mode
         self.interval = max(1, interval)
 
     def _windows(self) -> list[list[Segment]]:
@@ -259,19 +254,39 @@ class ReducedObservabilityCampaign:
             return True, None
         return False, run.end_checkpoint
 
-    def _check_window(self, window: list[Segment], surface) -> bool:
-        """True if the coarse checker flags this window."""
-        state = window[0].start_checkpoint
-        for seg in window:
-            diverged, state = self._replay_segment(seg, surface, state)
+    def _check_window(self, window: list[Segment], surface):
+        """Whether the coarse checker flags this window, and the surface.
+
+        While the carried state is golden — bit-identical to the main
+        core's checkpoint — segments the fault cannot touch are skipped,
+        and a live one replays from its own golden start (the previous
+        segment's end, by construction of the segments).  Once a replay
+        ends off golden, every later segment of the window replays.
+        """
+        carried = None  # None: golden
+
+        def replay(seg: Segment, live) -> bool:
+            nonlocal carried
+            start = seg.start_checkpoint if carried is None else carried
+            diverged, state = self._replay_segment(seg, live, start)
             if diverged:
                 return True
-            corrupt = getattr(surface, "corrupt_checkpoint", None)
+            corrupt = getattr(live, "corrupt_checkpoint", None)
             if corrupt is not None:
                 state = corrupt(state, seg.index)
+            carried = (None if same_checkpoint(state, seg.end_checkpoint)
+                       else state)
+            return False
+
+        hit, surface = replay_pass(self.golden, surface, window, replay,
+                                   lambda: carried is None)
+        if hit is not None:
+            return True, surface
+        if carried is None:
+            return False, surface
         rcu = RegisterCheckpointUnit()
         rcu.arm(window[-1].end_checkpoint, window[-1].digest)
-        return rcu.compare(state, window[-1].index) is not None
+        return rcu.compare(carried, window[-1].index) is not None, surface
 
     def run_trial(self, fault, covered: list[int] | None = None,
                   trial: int = -1,
@@ -284,7 +299,8 @@ class ReducedObservabilityCampaign:
                 # A window can only close if every segment's log was
                 # shipped; partially-covered windows go unchecked.
                 continue
-            if self._check_window(window, surface):
+            flagged, surface = self._check_window(window, surface)
+            if flagged:
                 return InjectionResult(
                     fault=fault, detected=True, masked=False,
                     detection_instruction=window[-1].end,
@@ -293,12 +309,9 @@ class ReducedObservabilityCampaign:
         # Classify with a full-observability replay over *all* segments:
         # reduced observability can itself let an effective fault
         # escape, and those must count as missed, not masked.
-        full = CheckerCore(self.program, fault_surface=fault.fresh(),
-                           fu_counts=self.fu_counts, hash_mode=False)
-        for seg in self.segments:
-            if full.check_segment(seg).detected:
-                return InjectionResult(fault=fault, detected=False,
-                                       masked=False, trial=trial, kind=kind)
+        if self.first_detection(fault.fresh(), self.segments) is not None:
+            return InjectionResult(fault=fault, detected=False,
+                                   masked=False, trial=trial, kind=kind)
         return InjectionResult(fault=fault, detected=False, masked=True,
                                trial=trial, kind=kind)
 
@@ -313,17 +326,23 @@ def default_fault_kinds(scheme: str) -> tuple[str, ...]:
 
 def make_campaign(scheme: str, program: Program, segments: list[Segment],
                   checker_config: CoreConfig, hash_mode: bool = False,
-                  seed: int = 0):
-    """Build the trial runner for one campaign scheme."""
+                  seed: int = 0, golden: GoldenStream | None = None):
+    """Build the trial runner for one campaign scheme.
+
+    ``golden`` is the substrate's shared golden FU stream; without one
+    the campaign records its own.
+    """
     if scheme in (SCHEME_PARAVERSER, SCHEME_ITHICA):
         return FaultCampaign(program, segments, checker_config,
-                             hash_mode=hash_mode)
+                             hash_mode=hash_mode, golden=golden)
     if scheme == SCHEME_DME:
         return DivergentCampaign(program, segments, checker_config,
-                                 hash_mode=hash_mode, seed=seed)
+                                 hash_mode=hash_mode, seed=seed,
+                                 golden=golden)
     if scheme == SCHEME_MEEK:
         return ReducedObservabilityCampaign(program, segments,
                                             checker_config,
-                                            hash_mode=hash_mode)
+                                            hash_mode=hash_mode,
+                                            golden=golden)
     raise ValueError(f"unknown campaign scheme {scheme!r}; "
                      f"known: {', '.join(CAMPAIGN_SCHEMES)}")

@@ -77,6 +77,13 @@ class FUKind(enum.Enum):
     STORE = "store"
 
 
+# A dense 0-based position per class, so per-core FU tables index a list
+# instead of hashing the enum member.
+for _index, _fu in enumerate(FUKind):
+    _fu.index = _index
+del _index, _fu
+
+
 @dataclass(frozen=True)
 class OpSpec:
     """Static properties of an opcode."""

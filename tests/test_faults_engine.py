@@ -1,5 +1,6 @@
 """Parallel campaign engine: determinism, shards/resume, stats, serve."""
 
+import dataclasses
 import json
 
 import pytest
@@ -162,3 +163,44 @@ class TestServeIntegration:
         assert row["detection_rate_effective"] == \
             tally.detection_rate_effective
         assert row["trace_source"] in ("computed", "memory", "disk")
+
+
+class TestSharedSubstrate:
+    """One substrate per checked run, shared by every scheme's spec."""
+
+    @staticmethod
+    def _scheme_specs(**overrides):
+        from repro.faults.scenarios import (
+            CAMPAIGN_SCHEMES,
+            default_fault_kinds,
+        )
+
+        return [dataclasses.replace(SPEC, scheme=scheme, trials=1,
+                                    fault_kinds=default_fault_kinds(scheme),
+                                    **overrides)
+                for scheme in CAMPAIGN_SCHEMES]
+
+    def test_schemes_share_one_substrate(self, monkeypatch):
+        from repro.faults import engine
+
+        monkeypatch.setattr(engine, "_CONTEXTS", {})
+        for spec in self._scheme_specs():
+            run_trial_in_worker(spec, 0)
+        assert len(engine._CONTEXTS) == 4
+        assert len({id(ctx.substrate)
+                    for ctx in engine._CONTEXTS.values()}) == 1
+
+    def test_eviction_bounds_substrates_not_specs(self, monkeypatch):
+        from repro.faults import engine
+
+        monkeypatch.setattr(engine, "_CONTEXTS", {})
+        monkeypatch.setattr(engine, "_CONTEXT_LIMIT", 1)
+        first = self._scheme_specs()[:2]
+        for spec in first:
+            run_trial_in_worker(spec, 0)
+        # Two specs on one substrate fit a limit of one substrate.
+        assert set(engine._CONTEXTS) == {spec.key() for spec in first}
+        second = self._scheme_specs(seed=SPEC.seed + 1)[:2]
+        for spec in second:
+            run_trial_in_worker(spec, 0)
+        assert set(engine._CONTEXTS) == {spec.key() for spec in second}

@@ -264,3 +264,58 @@ class TestRandomStuckAt:
         assert (FUKind.LOAD, True) in seen
         assert (FUKind.STORE, True) in seen
         assert (FUKind.INT_ALU, False) in seen
+
+
+class TestActivationSites:
+    COUNTS = {FUKind.INT_ALU: 3, FUKind.INT_MUL: 1, FUKind.LOAD: 2}
+
+    def test_stuck_at_has_its_one_site(self):
+        fault = StuckAtFault(FUKind.LOAD, 1, bit=4, stuck_at=1,
+                             addresses_only=True)
+        assert fault.activation_sites(self.COUNTS) == {(FUKind.LOAD, 1)}
+
+    def test_transient_site_goes_away_once_fired(self):
+        fault = TransientFault(FUKind.INT_ALU, 2, bit=0, strike_at_use=2)
+        assert fault.activation_sites(self.COUNTS) == {(FUKind.INT_ALU, 2)}
+        fault.apply(FUKind.INT_ALU, 2, 8)
+        assert fault.activation_sites(self.COUNTS)
+        assert fault.apply(FUKind.INT_ALU, 2, 8) == 9
+        assert fault.activation_sites(self.COUNTS) == frozenset()
+
+    def test_register_fault_strikes_one_segment_once(self):
+        fault = RegisterFault(is_fp=False, reg=3, bit=1, strike_segment=4)
+        assert fault.activation_sites(self.COUNTS) == frozenset()
+        assert fault.strikes(4) and not fault.strikes(3)
+        cp = RegisterCheckpoint(tuple(range(32)), (0.0,) * 32, 0)
+        fault.corrupt_checkpoint(cp, 4)
+        assert not fault.strikes(4)
+
+    def test_defect_covers_every_unit_of_its_classes(self):
+        from repro.faults.models import DefectFault
+
+        fault = DefectFault(fus=(FUKind.INT_ALU, FUKind.INT_MUL,
+                                 FUKind.INT_DIV),
+                            trigger_mask=1, trigger_value=1, corruption=2)
+        assert fault.activation_sites(self.COUNTS) == {
+            (FUKind.INT_ALU, 0), (FUKind.INT_ALU, 1), (FUKind.INT_ALU, 2),
+            (FUKind.INT_MUL, 0), (FUKind.INT_DIV, 0)}
+
+    def test_apply_ignores_everything_off_its_sites(self):
+        from repro.faults.models import DefectFault
+
+        faults = [StuckAtFault(FUKind.INT_ALU, 1, bit=0, stuck_at=1),
+                  TransientFault(FUKind.LOAD, 0, bit=0, strike_at_use=1,
+                                 addresses_only=True),
+                  DefectFault(fus=(FUKind.FP,), trigger_mask=0,
+                              trigger_value=0, corruption=1)]
+        for fault in faults:
+            sites = fault.activation_sites(self.COUNTS)
+            for fu in FUKind:
+                # Every unit the round robin can select.
+                for unit in range(max(1, self.COUNTS.get(fu, 1))):
+                    if (fu, unit) in sites:
+                        continue
+                    before = repr(fault)
+                    assert fault.apply(fu, unit, 6) == 6
+                    assert fault.apply(fu, unit, 6, is_address=True) == 6
+                    assert repr(fault) == before

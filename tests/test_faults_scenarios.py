@@ -174,6 +174,29 @@ def test_decorrelated_surface_delegates_checkpoint_hook():
     assert getattr(plain, "corrupt_checkpoint", None) is None
 
 
+def test_decorrelated_surface_survives_copy_and_pickle():
+    import copy
+    import pickle
+
+    from repro.faults.models import TransientFault
+
+    surface = DecorrelatedSurface(
+        TransientFault(FUKind.LOAD, 0, bit=2, strike_at_use=2,
+                       addresses_only=True), 0xAB0)
+    surface.apply(FUKind.LOAD, 0, 0x1000, is_address=True)  # one use in
+    shallow = copy.copy(surface)
+    assert shallow.fault is surface.fault and shallow.mask == surface.mask
+    for clone in (copy.deepcopy(surface),
+                  pickle.loads(pickle.dumps(surface))):
+        assert clone.mask == surface.mask
+        assert clone.fault._uses == 1 and not clone.fault.fired
+        assert clone.activation_sites({}) == {(FUKind.LOAD, 0)}
+        # The copy carries the state: the second use fires, remapped.
+        assert clone.apply(FUKind.LOAD, 0, 0x1000, is_address=True) \
+            == 0x1000 ^ (1 << 2)
+        assert clone.fault.fired and not surface.fault.fired
+
+
 # -- campaign schemes --------------------------------------------------------
 
 def detected_trials(outcome):
@@ -355,3 +378,25 @@ def test_campaign_request_scheme_roundtrip():
     assert campaign_from_wire(payload).scheme == "paraverser"
     with pytest.raises(ProtocolError, match="scheme"):
         CampaignRequest(workload="mcf", trials=2, scheme="bogus").validate()
+
+
+
+def test_decorrelated_surface_sites_follow_the_inner_fault():
+    from repro.faults.models import RegisterFault
+
+    # activation_sites is delegated: an inner surface without it leaves
+    # the wrapper without it (full replay), a declared one passes through.
+    plain = DecorrelatedSurface(_Identity(), 0x10)
+    assert getattr(plain, "activation_sites", None) is None
+    inert = DecorrelatedSurface(RegisterFault(False, 3, 1, 0), 0x10)
+    assert inert.activation_sites({}) == frozenset()
+
+
+def test_dme_backend_healthy_decorrelated_replay_is_clean():
+    from repro.detect.scenarios import scenario_backends
+    from repro.harness.runner import WorkloadCache
+
+    dme = next(b for b in scenario_backends() if b.name == "dme")
+    cache = WorkloadCache(max_instructions=6000, seed=3, trace_cache=None,
+                          jobs=1)
+    assert dme._decorrelated_clean(cache, "mcf", dme.make_config())
