@@ -48,7 +48,7 @@ def test_bench_timing_model_throughput(benchmark, cache):
 
     def simulate():
         model = TimingModel(instance)
-        return model.simulate(cached.program, cached.run.trace)
+        return model.simulate(cached.program, cached.run.columns)
 
     result = benchmark(simulate)
     assert result.instructions == cached.run.instructions

@@ -28,11 +28,11 @@ from repro.mem.hierarchy import SharedUncore
 from repro.workloads.generator import build_program
 from repro.workloads.profiles import get_profile
 
-#: Object-trace (per-instruction ``TraceEntry``) implementation, from
-#: the commit preceding the columnar-trace pass — measured interleaved
-#: with the columnar stack in one session on the same machine (gcc
-#: profile, 30 k instructions, best of 5, best of 3 rounds), so the
-#: speedup figures below compare like with like.
+#: Object-trace (one heap object per committed instruction)
+#: implementation, from the commit preceding the columnar-trace pass —
+#: measured interleaved with the columnar stack in one session on the
+#: same machine (gcc profile, 30 k instructions, best of 5, best of 3
+#: rounds), so the speedup figures below compare like with like.
 PRE_PR_FUNCTIONAL_IPS = 530_034
 PRE_PR_TIMING_IPS = 311_734
 

@@ -22,7 +22,6 @@ Installed as ``paraverser`` (see pyproject.toml)::
     paraverser eval -w mcf --backend paraverser-full  # query a server
     paraverser stats-diff old.json new.json      # flag stats regressions
     paraverser cache info --dir ~/.pvtraces      # trace-cache entry counts
-    paraverser cache migrate                     # legacy JSON -> binary
 """
 
 from __future__ import annotations
@@ -418,10 +417,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cache = sub.add_parser(
         "cache", help="inspect or maintain the persistent trace cache")
-    cache.add_argument("action", choices=["info", "purge", "migrate"],
+    cache.add_argument("action", choices=["info", "purge"],
                        help="info: entry/byte counts; purge: delete all "
-                            "entries; migrate: rewrite legacy JSON "
-                            "entries in the compressed binary format")
+                            "entries")
     cache.add_argument("--dir", dest="directory", metavar="DIR",
                        default=None,
                        help="cache directory (default: REPRO_TRACE_CACHE)")
@@ -1170,14 +1168,29 @@ def cmd_figures(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cancel_on_sigterm() -> None:
+    """Route SIGTERM into the running task's cancellation, so a
+    terminated server leaves through its ``finally`` clean-up."""
+    import asyncio
+    import signal
+
+    asyncio.get_running_loop().add_signal_handler(
+        signal.SIGTERM, asyncio.current_task().cancel)
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
-    """`paraverser serve`: run the batched evaluation service."""
+    """`paraverser serve`: run the batched evaluation service.
+
+    SIGTERM, like Ctrl-C, stops it gracefully: stop accepting, shed the
+    queue, let in-flight batches finish, shut the worker pool down.
+    """
     import asyncio
 
     from repro.serve.service import EvalService
     from repro.serve.workers import WorkerPool
 
     async def _serve() -> None:
+        _cancel_on_sigterm()
         pool = WorkerPool(workers=args.workers, trace_dir=args.trace_cache)
         service = EvalService(
             pool,
@@ -1189,15 +1202,17 @@ def cmd_serve(args: argparse.Namespace) -> int:
             epoch_s=args.epoch_s,
             telemetry_jsonl=args.telemetry_jsonl,
         )
-        if args.prime:
-            workloads = [w.strip() for w in args.prime.split(",")
-                         if w.strip()]
-            primed = await pool.prime(workloads, args.instructions,
-                                      args.seed)
-            print(f"primed traces:     {', '.join(primed)}", flush=True)
-        host, port = await service.start()
-        print(f"paraverser serve: listening on {host}:{port}", flush=True)
         try:
+            if args.prime:
+                workloads = [w.strip() for w in args.prime.split(",")
+                             if w.strip()]
+                primed = await pool.prime(workloads, args.instructions,
+                                          args.seed)
+                print(f"primed traces:     {', '.join(primed)}",
+                      flush=True)
+            host, port = await service.start()
+            print(f"paraverser serve: listening on {host}:{port}",
+                  flush=True)
             await service.serve_forever()
         except (asyncio.CancelledError, KeyboardInterrupt):
             pass
@@ -1214,7 +1229,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_route(args: argparse.Namespace) -> int:
-    """`paraverser route`: shard requests across N serve backends."""
+    """`paraverser route`: shard requests across N serve backends.
+
+    SIGTERM, like Ctrl-C, stops the router gracefully and then stops
+    every shard it spawned (each drains and shuts its own pool down).
+    """
     import asyncio
 
     from repro.envutil import parse_float, parse_int
@@ -1265,6 +1284,7 @@ def cmd_route(args: argparse.Namespace) -> int:
               flush=True)
 
     async def _route() -> None:
+        _cancel_on_sigterm()
         service = RouterService(
             manager,
             host=args.host,
@@ -1368,16 +1388,10 @@ def cmd_cache(args: argparse.Namespace) -> int:
     if args.action == "purge":
         print(f"purged entries:    {tc.purge()}")
         return 0
-    if args.action == "migrate":
-        print(f"migrated entries:  {tc.migrate()}")
     info = tc.info()
     print(f"directory:         {info['directory']}")
     print(f"entries:           {info['entries']} "
           f"({info['total_bytes'] / 1024:.1f} KiB)")
-    print(f"  binary (.pvtc):  {info['current_entries']} "
-          f"({info['current_bytes'] / 1024:.1f} KiB)")
-    print(f"  legacy (.json):  {info['legacy_entries']} "
-          f"({info['legacy_bytes'] / 1024:.1f} KiB)")
     return 0
 
 

@@ -27,7 +27,7 @@ from repro.core.lsl import (
     LSLAccess,
     LSLRecord,
     RecordKind,
-    record_from_trace,
+    records_from_columns,
 )
 from repro.core.lspu import LoadStorePushUnit, PushedLine
 from repro.core.rcu import RegisterCheckpointUnit
@@ -111,7 +111,7 @@ __all__ = [
     "lazy_finish_time",
     "line_arrival_times",
     "locate_divergence",
-    "record_from_trace",
+    "records_from_columns",
     "replay_vote",
     "segment_finish_time",
 ]

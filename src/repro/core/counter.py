@@ -12,10 +12,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.core.lsl import LSLRecord, record_from_trace, \
-    records_from_columns
+from repro.core.lsl import LSLRecord, records_from_columns
 from repro.cpu.columns import TraceColumns
-from repro.cpu.functional import TraceEntry
 from repro.isa.instructions import CACHE_LINE_BYTES
 from repro.isa.registers import RegisterCheckpoint
 
@@ -76,21 +74,26 @@ class SegmentBuilder:
         self.line_bytes = line_bytes
         self.hash_mode = hash_mode
 
-    def split(self, trace: "TraceColumns | list[TraceEntry]",
+    def split(self, columns: TraceColumns,
               forced_boundaries: set[int] | None = None) -> list[Segment]:
-        """Segment ``trace``; ``forced_boundaries`` are interrupt points.
+        """Segment a trace; ``forced_boundaries`` are interrupt points.
 
-        Accepts a columnar trace (fast sparse path — only record-bearing
-        instructions are visited) or a legacy entry list.
+        Only record-bearing instructions (the mem-row plane) are visited;
+        interrupt and timeout cuts between them are computed arithmetically.
+        A forced boundary at the trace end is no interrupt: the last
+        segment ends with ``PROGRAM_END``.
         """
-        if isinstance(trace, TraceColumns):
-            return self._split_columns(trace, forced_boundaries)
-        forced = forced_boundaries or set()
+        n = len(columns)
+        forced_sorted = sorted(
+            f for f in (forced_boundaries or ()) if 0 < f < n)
+        n_forced = len(forced_sorted)
+        timeout = self.timeout
         segments: list[Segment] = []
         records: list[LSLRecord] = []
         seg_start = 0
         lines_full = 0
         buffer_bytes = 0
+        fp = 0  # next forced boundary to consider
 
         def cut(end: int, reason: CutReason) -> None:
             nonlocal records, seg_start, lines_full, buffer_bytes
@@ -124,86 +127,11 @@ class SegmentBuilder:
                 buf = 0
             return lines, buf
 
-        for i, entry in enumerate(trace):
-            record = record_from_trace(entry, i)
-            entry_bytes = record.entry_bytes(self.hash_mode) if record else 0
-            if entry_bytes:
-                new_lines, new_buffer = pack(lines_full, buffer_bytes,
-                                             entry_bytes)
-                used = new_lines * self.line_bytes + new_buffer
-                if used > self.capacity and (records or buffer_bytes):
-                    cut(i, CutReason.LSL_FULL)
-                    lines_full, buffer_bytes = pack(0, 0, entry_bytes)
-                else:
-                    lines_full, buffer_bytes = new_lines, new_buffer
-            if record is not None:
-                records.append(record)
-            count = i + 1 - seg_start
-            if i + 1 in forced and i + 1 < len(trace):
-                cut(i + 1, CutReason.INTERRUPT)
-            elif count >= self.timeout:
-                cut(i + 1, CutReason.TIMEOUT)
-        if seg_start < len(trace):
-            cut(len(trace), CutReason.PROGRAM_END)
-        return segments
-
-    def _split_columns(self, columns: "TraceColumns",
-                       forced_boundaries: set[int] | None) -> list[Segment]:
-        """Sparse segmentation over a columnar trace.
-
-        Only record-bearing instructions (the mem-row plane) are visited;
-        interrupt and timeout cuts between them are computed arithmetically.
-        Produces exactly the segments the entry-list loop would.
-        """
-        n = len(columns)
-        # ``i + 1 < len(trace)`` in the dense loop excludes a forced cut at
-        # the very end (that one becomes PROGRAM_END).
-        forced_sorted = sorted(
-            f for f in (forced_boundaries or ()) if 0 < f < n)
-        n_forced = len(forced_sorted)
-        timeout = self.timeout
-        segments: list[Segment] = []
-        records: list[LSLRecord] = []
-        seg_start = 0
-        lines_full = 0
-        buffer_bytes = 0
-        fp = 0  # next forced boundary to consider
-
-        def cut(end: int, reason: CutReason) -> None:
-            nonlocal records, seg_start, lines_full, buffer_bytes
-            lines = lines_full + (1 if buffer_bytes else 0)
-            segments.append(Segment(
-                index=len(segments),
-                start=seg_start,
-                end=end,
-                records=records,
-                lsl_bytes=lines * self.line_bytes,
-                lines=lines,
-                reason=reason,
-            ))
-            records = []
-            seg_start = end
-            lines_full = 0
-            buffer_bytes = 0
-
-        def pack(lines: int, buf: int, entry: int) -> tuple[int, int]:
-            if buf + entry > self.line_bytes:
-                if buf:
-                    lines += 1
-                lines += entry // self.line_bytes
-                buf = entry % self.line_bytes
-            else:
-                buf += entry
-            if buf == self.line_bytes:
-                lines += 1
-                buf = 0
-            return lines, buf
-
         def advance(limit: int) -> None:
             """Fire the interrupt/timeout cuts at indices <= ``limit``.
 
             At equal indices a forced (interrupt) cut wins over a timeout
-            cut, matching the dense loop's if/elif ordering.
+            cut.
             """
             nonlocal fp
             while True:

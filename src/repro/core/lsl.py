@@ -15,7 +15,6 @@ import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.cpu.functional import TraceEntry
 from repro.isa.instructions import CACHE_LINE_BYTES, LSL_ADDRESS_BYTES, \
     LSL_SIZE_FIELD_BYTES, Opcode
 
@@ -85,66 +84,8 @@ class LSLRecord:
         return total
 
 
-def record_from_trace(entry: TraceEntry, index: int) -> LSLRecord | None:
-    """Build the log record a committed instruction produces, if any."""
-    instr = entry.instr
-    op = instr.op
-    spec = instr.spec
-    if op is Opcode.BCOPY:
-        # One macro-op, many accesses: the oversized-entry case the paper
-        # flags for x86 REP MOVS (footnote 14).  Loads first (in address
-        # order from the source), then the mirrored stores.
-        assert entry.bulk is not None
-        accesses = tuple(
-            LSLAccess(entry.addr + 8 * i, 8, loaded=value, stored=None)
-            for i, value in enumerate(entry.bulk)
-        ) + tuple(
-            LSLAccess(entry.addr2 + 8 * i, 8, loaded=None, stored=value)
-            for i, value in enumerate(entry.bulk)
-        )
-        return LSLRecord(RecordKind.BULK, accesses, index)
-    if op is Opcode.SWP:
-        return LSLRecord(
-            RecordKind.SWAP,
-            (LSLAccess(entry.addr, entry.size, entry.loaded, entry.stored),),
-            index,
-        )
-    if op is Opcode.SC:
-        access = LSLAccess(entry.addr, entry.size, entry.nonrep, entry.stored)
-        return LSLRecord(RecordKind.NONREP_STORE, (access,), index)
-    if op is Opcode.LDG:
-        first = LSLAccess(entry.addr, entry.size, entry.loaded, None)
-        second = LSLAccess(entry.addr2, entry.size, entry.loaded2, None)
-        # Lowest address first (microarchitectural invariance, section IV-C).
-        accesses = (first, second) if entry.addr <= entry.addr2 else (second, first)
-        return LSLRecord(RecordKind.GATHER, accesses, index)
-    if op is Opcode.STS:
-        first = LSLAccess(entry.addr, entry.size, None, entry.stored)
-        second = LSLAccess(entry.addr2, entry.size, None, entry.stored)
-        accesses = (first, second) if entry.addr <= entry.addr2 else (second, first)
-        return LSLRecord(RecordKind.SCATTER, accesses, index)
-    if spec.is_load:
-        return LSLRecord(
-            RecordKind.LOAD,
-            (LSLAccess(entry.addr, entry.size, entry.loaded, None),),
-            index,
-        )
-    if spec.is_store:
-        return LSLRecord(
-            RecordKind.STORE,
-            (LSLAccess(entry.addr, entry.size, None, entry.stored),),
-            index,
-        )
-    if spec.is_nonrepeatable:
-        return LSLRecord(
-            RecordKind.NONREP, (LSLAccess(0, 8, entry.nonrep, None),), index
-        )
-    return None
-
-
-#: Per-pc record-kind codes for the columnar fast path.  The dispatch
-#: order mirrors :func:`record_from_trace` (BCOPY before the generic
-#: load/store tests — it sets both flags).
+#: Per-pc record-kind codes.  BCOPY is tested before the generic
+#: load/store flags, because it sets both.
 (_KIND_NONE, _KIND_LOAD, _KIND_STORE, _KIND_SWAP, _KIND_SC, _KIND_LDG,
  _KIND_STS, _KIND_BCOPY, _KIND_NONREP) = range(9)
 
@@ -181,13 +122,13 @@ def _record_kind_table(program: "Program") -> list[int]:
 
 
 def records_from_columns(columns: "TraceColumns") -> list[LSLRecord]:
-    """Bulk record extraction from a columnar trace.
+    """The log records a columnar trace produces, in commit order.
 
     Every instruction that produces a log record also emits a mem-plane
-    row (and vice versa), so this walks the sparse row plane instead of
-    materialising per-instruction ``TraceEntry`` objects.  Produces the
-    same records, in the same order, as calling :func:`record_from_trace`
-    on each entry.
+    row (and vice versa), so this walks the sparse row plane only.
+    BCOPY is one macro-op with many accesses — the oversized-entry case
+    the paper flags for x86 REP MOVS (footnote 14): the loads in source
+    address order, then the mirrored stores.
     """
     table = _record_kind_table(columns.program)
     pcs = columns.pcs

@@ -13,7 +13,6 @@ from repro.cpu.functional import (
     NoFaults,
     NonRepSource,
     RunResult,
-    TraceEntry,
     to_signed,
 )
 from repro.cpu.multicore import ThreadRun, run_multicore
@@ -43,7 +42,6 @@ __all__ = [
     "ThreadRun",
     "TimingModel",
     "TimingResult",
-    "TraceEntry",
     "X2",
     "format_stats",
     "load_run",

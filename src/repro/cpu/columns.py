@@ -1,10 +1,9 @@
 """Columnar commit-trace representation.
 
-The functional core commits tens of thousands of instructions per run;
-holding each as a :class:`~repro.cpu.functional.TraceEntry` heap object
-made every downstream pass (segmentation, timing replay, serialization)
-pay per-object allocation and attribute-dispatch costs.  A
-:class:`TraceColumns` keeps the same information as parallel columns:
+The functional core commits tens of thousands of instructions per run.
+A :class:`TraceColumns` holds them as parallel columns rather than one
+heap object per instruction, so segmentation, timing replay and
+serialization pay no per-object allocation or attribute dispatch:
 
 * a **dense** program-counter column (one element per committed
   instruction), from which opcode, functional unit and fetch address are
@@ -12,8 +11,8 @@ pay per-object allocation and attribute-dispatch costs.  A
 * a **sparse memory plane** — one row per instruction that produced a
   load-store-log record (loads, stores, atomics, bulk copies,
   non-repeatable reads) holding ``(index, addr, addr2, size, loaded,
-  loaded2, stored, nonrep)`` with the same ``-1`` / ``None`` absence
-  sentinels as ``TraceEntry``;
+  loaded2, stored, nonrep)``; an absent address is ``-1`` and an absent
+  value ``None``;
 * a **sparse branch plane** — one row per *dynamically resolved* control
   transfer (conditional branches and JALR) holding ``(index, next_pc,
   taken)``.  JMP/HALT/fallthrough successors are static and are
@@ -34,8 +33,6 @@ import os
 import sys
 from array import array
 from collections import Counter
-
-from repro.isa.instructions import OP_SPECS, Opcode
 
 
 def _load_numpy():
@@ -91,30 +88,6 @@ def unpack_column(data: bytes, itemsize: int) -> list[int]:
     if sys.byteorder == "big":  # pragma: no cover
         arr.byteswap()
     return arr.tolist()
-
-
-def _static_next_table(program) -> list[tuple]:
-    """Per-pc ``(kind, next_pc)`` for statically-known control flow.
-
-    ``kind`` is 0 for fallthrough, 1 for JMP (taken, static target),
-    2 for HALT (next_pc == pc), 3 for dynamically resolved transfers
-    (conditional branches and JALR — these have branch-plane rows).
-    """
-    table = getattr(program, "_static_next_table", None)
-    if table is None:
-        table = []
-        for pc, instr in enumerate(program.instructions):
-            op = instr.op
-            if op is Opcode.JMP:
-                table.append((1, instr.target))
-            elif op is Opcode.HALT:
-                table.append((2, pc))
-            elif OP_SPECS[op].is_branch:  # BEQ/BNE/BLT/BGE/JALR
-                table.append((3, pc + 1))
-            else:
-                table.append((0, pc + 1))
-        program._static_next_table = table
-    return table
 
 
 class TraceColumns:
@@ -175,77 +148,10 @@ class TraceColumns:
         """Dynamic instruction counts per FU class.
 
         ``fu_names`` is the per-pc FU-name table.  Keys appear in
-        first-dynamic-occurrence order, matching the per-entry
-        accumulation the object path performed.
+        first-dynamic-occurrence order (Counter keys keep first-seen
+        order; the map runs at C speed).
         """
-        # The map runs at C speed (list.__getitem__ per pc) and Counter
-        # keys preserve first-seen order, so the result matches the
-        # per-entry accumulation of the object path exactly — same
-        # counts, same first-dynamic-occurrence key order.
         return dict(Counter(map(fu_names.__getitem__, self.pcs)))
-
-    # -- object-path interop ------------------------------------------------
-
-    def entries(self, program=None) -> list:
-        """Materialise the legacy ``list[TraceEntry]`` view."""
-        from repro.cpu.functional import TraceEntry
-
-        program = program or self.program
-        if program is None:
-            raise ValueError("TraceColumns has no program to rebuild from")
-        instrs = program.instructions
-        statics = _static_next_table(program)
-        mem_rows = self.mem_rows
-        br_rows = self.br_rows
-        bulks = self.bulks
-        n_mem = len(mem_rows)
-        n_br = len(br_rows)
-        mp = bp = 0
-        out = []
-        append = out.append
-        for i, pc in enumerate(self.pcs):
-            addr = addr2 = -1
-            size = 0
-            loaded = loaded2 = stored = nonrep = bulk = None
-            if mp < n_mem and mem_rows[mp][0] == i:
-                (_, addr, addr2, size,
-                 loaded, loaded2, stored, nonrep) = mem_rows[mp]
-                mp += 1
-                bulk = bulks.get(i)
-            kind, next_pc = statics[pc]
-            taken = kind == 1
-            if kind == 3 and bp < n_br and br_rows[bp][0] == i:
-                _, next_pc, row_taken = br_rows[bp]
-                taken = bool(row_taken)
-                bp += 1
-            append(TraceEntry(
-                pc=pc, instr=instrs[pc], addr=addr, addr2=addr2, size=size,
-                loaded=loaded, loaded2=loaded2, stored=stored, nonrep=nonrep,
-                taken=taken, next_pc=next_pc, bulk=bulk,
-            ))
-        return out
-
-    @classmethod
-    def from_entries(cls, entries, program=None) -> "TraceColumns":
-        """Build columns from a legacy ``list[TraceEntry]``."""
-        cols = cls(program)
-        pcs = cols.pcs
-        mem_rows = cols.mem_rows
-        br_rows = cols.br_rows
-        for i, e in enumerate(entries):
-            pcs.append(e.pc)
-            if (e.addr != -1 or e.addr2 != -1 or e.loaded is not None
-                    or e.stored is not None or e.nonrep is not None
-                    or e.bulk is not None):
-                mem_rows.append((i, e.addr, e.addr2, e.size,
-                                 e.loaded, e.loaded2, e.stored, e.nonrep))
-                if e.bulk is not None:
-                    cols.bulks[i] = tuple(e.bulk)
-            op = e.instr.op
-            if op is Opcode.JALR or (OP_SPECS[op].is_branch
-                                     and op is not Opcode.JMP):
-                br_rows.append((i, e.next_pc, bool(e.taken)))
-        return cols
 
     # -- packed (binary) form ----------------------------------------------
 

@@ -14,8 +14,8 @@ every functional-unit result and every load/store address passes through
 Dispatch is table-driven end to end, and the commit trace is columnar
 (:class:`~repro.cpu.columns.TraceColumns`): handlers append to the dense
 pc column and the sparse memory/branch planes instead of building one
-``TraceEntry`` heap object per instruction.  Two per-program handler
-tables are cached on the program object:
+heap object per instruction.  Two per-program handler tables are cached
+on the program object:
 
 * the generic table — one handler per opcode, routing every produced
   value through the fault surface and round-robin unit selection; used
@@ -27,15 +27,11 @@ tables are cached on the program object:
   checkers whose fault has no live FU site, such as register faults and
   spent transients).  Bit-identical to the generic table with an FU-inert
   surface by construction.
-
-``TraceEntry`` remains as the object view; ``RunResult.trace``
-materialises it lazily from the columns.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Protocol
 
 from repro.cpu.columns import TraceColumns
@@ -144,50 +140,24 @@ class MainNonRepSource:
         return 1
 
 
-@dataclass(slots=True)
-class TraceEntry:
-    """One committed instruction, with its architectural effects.
-
-    The object view of one columnar trace row; materialised on demand by
-    ``RunResult.trace`` / ``TraceColumns.entries``.
-    """
-
-    pc: int
-    instr: Instruction
-    addr: int = -1
-    addr2: int = -1
-    size: int = 0
-    loaded: int | None = None
-    loaded2: int | None = None
-    stored: int | None = None
-    nonrep: int | None = None
-    taken: bool = False
-    next_pc: int = 0
-    #: BCOPY: the words moved (one macro-op, many micro-op accesses).
-    bulk: tuple[int, ...] | None = None
-
-
 class RunResult:
     """Outcome of a functional run (one segment or a whole program)."""
 
     __slots__ = ("program", "columns", "start_checkpoint", "end_checkpoint",
-                 "halted", "instructions", "class_counts", "_trace")
+                 "halted", "instructions", "class_counts")
 
     def __init__(
         self,
         program: Program,
-        columns: TraceColumns | None = None,
+        columns: TraceColumns,
         start_checkpoint: RegisterCheckpoint | None = None,
         end_checkpoint: RegisterCheckpoint | None = None,
         halted: bool = False,
         instructions: int = 0,
         class_counts: dict[str, int] | None = None,
-        trace: list[TraceEntry] | None = None,
     ) -> None:
         self.program = program
-        if columns is None:
-            columns = TraceColumns.from_entries(trace or [], program)
-        elif columns.program is None:
+        if columns.program is None:
             columns.program = program
         self.columns = columns
         self.start_checkpoint = start_checkpoint
@@ -195,14 +165,6 @@ class RunResult:
         self.halted = halted
         self.instructions = instructions
         self.class_counts = {} if class_counts is None else class_counts
-        self._trace = trace
-
-    @property
-    def trace(self) -> list[TraceEntry]:
-        """Object view of the trace, materialised lazily from the columns."""
-        if self._trace is None:
-            self._trace = self.columns.entries(self.program)
-        return self._trace
 
     @property
     def final_pc(self) -> int:

@@ -30,7 +30,6 @@ from heapq import heapreplace
 from repro.cpu.branch import BranchPredictor
 from repro.cpu.columns import TraceColumns
 from repro.cpu.config import CoreConfig, CoreInstance, CoreKind
-from repro.cpu.functional import TraceEntry
 from repro.isa.instructions import FUKind, Instruction, Opcode
 from repro.isa.program import Program
 from repro.mem.hierarchy import MemoryHierarchy, SharedUncore
@@ -353,22 +352,18 @@ class TimingModel:
     def simulate(
         self,
         program: Program,
-        trace: "TraceColumns | list[TraceEntry]",
+        trace: TraceColumns,
         boundaries: list[int] | None = None,
         checkpoint_overhead: bool = False,
     ) -> TimingResult:
         """Replay ``trace`` and return timing.
 
-        ``trace`` is a :class:`TraceColumns` (the native hot path) or a
-        legacy ``list[TraceEntry]``, which is converted on entry.
         ``boundaries`` is a sorted list of *end-exclusive* instruction
         indices; the cumulative commit cycle at each boundary is reported in
         ``boundary_cycles``.  With ``checkpoint_overhead``, the RCU's
         register-file copy latency is charged at every boundary (this is the
         main-core cost the paper measures under "Register Checkpointing").
         """
-        if not isinstance(trace, TraceColumns):
-            trace = TraceColumns.from_entries(trace, program)
         config = self.config
         freq = self.freq
         hier = self.hierarchy

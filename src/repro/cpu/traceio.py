@@ -6,40 +6,37 @@ can be replayed through any number of timing/checking configurations
 later.  No pickle: the format is stable and safe to load from untrusted
 sources.
 
-Two generations coexist:
-
-* **v1** — portable JSON with one row per committed instruction.  Still
-  readable (old trace-cache entries and archived runs keep working) but
-  no longer written.
-* **v2** — a binary container: a 13-byte preamble (``PVTC`` magic,
-  format version, little-endian u64 header length), a JSON header with
-  everything human-scaled (program, checkpoints, counters, section
-  table), then the packed column bytes of the
-  :class:`~repro.cpu.columns.TraceColumns` planes back to back.  The
-  same column bytes ride inside :func:`run_to_payload` dicts, so the
-  pickled stage-handoff between sweep/serve workers shrinks with the
-  on-disk format.
+A run is stored as a binary container: a 13-byte preamble (``PVTC``
+magic, format version, little-endian u64 header length), a JSON header
+with everything human-scaled (program, checkpoints, counters, section
+table), the packed column bytes of the
+:class:`~repro.cpu.columns.TraceColumns` planes back to back, and a
+32-byte SHA-256 trailer over every preceding byte.  The reader checks
+the trailer before it parses anything, so a truncated or bit-flipped
+file raises :class:`ValueError` instead of decoding to a different
+trace.  The same column bytes ride inside :func:`run_to_payload` dicts,
+so the pickled stage handoff between sweep/serve workers stays compact.
 
 ``TRACE_SEMANTICS_VERSION`` tracks the *meaning* of a trace (what the
-functional core records), separately from the container layout; cache
-keys fold in the semantics version so a pure container change does not
-invalidate every cached run.
+functional core records), separately from the container layout.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 from pathlib import Path
 
 from repro.cpu.columns import TraceColumns
-from repro.cpu.functional import RunResult, TraceEntry
+from repro.cpu.functional import RunResult
 from repro.isa.instructions import Instruction, Opcode
 from repro.isa.program import Program
 from repro.isa.registers import RegisterCheckpoint
 
-#: Container/payload layout version (v2 = binary columnar).
-FORMAT_VERSION = 2
+#: Container/payload layout version (3 = binary columnar with a
+#: SHA-256 trailer).  Only this version is read.
+FORMAT_VERSION = 3
 
 #: Version of what a trace *means*; bump when the functional core's
 #: recording semantics change (new fields, different sentinels...).
@@ -49,6 +46,9 @@ TRACE_SEMANTICS_VERSION = 1
 MAGIC = b"PVTC"
 
 _PREAMBLE = struct.Struct("<4sBQ")  # magic, version, header byte length
+
+#: Length of the SHA-256 trailer that closes every container.
+_DIGEST_BYTES = hashlib.sha256().digest_size
 
 #: Packed-column section order inside the binary container body.
 _COLUMN_KEYS = (
@@ -115,19 +115,6 @@ def program_from_json(data: dict) -> Program:
     return program
 
 
-def _entry_from_row(row: list, program: Program) -> TraceEntry:
-    """Rebuild one v1 JSON trace row (legacy read path)."""
-    (pc, addr, addr2, size, loaded, loaded2, stored, nonrep,
-     taken, next_pc, bulk) = row
-    return TraceEntry(
-        pc=pc, instr=program.instructions[pc],
-        addr=addr, addr2=addr2, size=size,
-        loaded=loaded, loaded2=loaded2, stored=stored, nonrep=nonrep,
-        taken=bool(taken), next_pc=next_pc,
-        bulk=tuple(bulk) if bulk is not None else None,
-    )
-
-
 def _checkpoint_to_json(ckpt: RegisterCheckpoint) -> dict:
     return {"ints": list(ckpt.ints), "fps": list(ckpt.fps), "pc": ckpt.pc}
 
@@ -159,19 +146,14 @@ def run_to_payload(run: RunResult) -> dict:
 
 
 def run_from_payload(payload: dict) -> RunResult:
-    """Rebuild a run from :func:`run_to_payload` output (v1 or v2)."""
+    """Rebuild a run from :func:`run_to_payload` output."""
     version = payload.get("version")
-    if version not in (1, FORMAT_VERSION):
+    if version != FORMAT_VERSION:
         raise ValueError(f"unsupported trace format version {version!r}")
     program = program_from_json(payload["program"])
-    if version == FORMAT_VERSION:
-        columns = TraceColumns.from_payload(payload["columns"], program)
-    else:
-        trace = [_entry_from_row(row, program) for row in payload["trace"]]
-        columns = TraceColumns.from_entries(trace, program)
     return RunResult(
         program=program,
-        columns=columns,
+        columns=TraceColumns.from_payload(payload["columns"], program),
         start_checkpoint=_checkpoint_from_json(payload["start_checkpoint"]),
         end_checkpoint=_checkpoint_from_json(payload["end_checkpoint"]),
         halted=payload["halted"],
@@ -181,7 +163,7 @@ def run_from_payload(payload: dict) -> RunResult:
 
 
 def run_to_bytes(run: RunResult) -> bytes:
-    """Serialize a run into the v2 binary container."""
+    """Serialize a run into the binary container (see module docstring)."""
     columns = run.columns.to_payload()
     sections = [(key, columns[key]) for key in _COLUMN_KEYS]
     header = {
@@ -198,33 +180,39 @@ def run_to_bytes(run: RunResult) -> bytes:
     parts = [_PREAMBLE.pack(MAGIC, FORMAT_VERSION, len(header_bytes)),
              header_bytes]
     parts.extend(data for _, data in sections)
-    return b"".join(parts)
+    body = b"".join(parts)
+    return body + hashlib.sha256(body).digest()
 
 
 def run_from_bytes(data: bytes) -> RunResult:
-    """Deserialize a run: v2 binary container or v1 JSON text."""
+    """Deserialize a run written by :func:`run_to_bytes`.
+
+    Raises :class:`ValueError` on a foreign magic, another format
+    version, or a SHA-256 trailer that does not match the bytes before
+    it (truncation, bit flips).
+    """
     if not data.startswith(MAGIC):
-        # Legacy JSON files start with '{' (and can never start with
-        # the magic); same bytes, older layout.
-        return run_from_payload(json.loads(data.decode("utf-8")))
-    if len(data) < _PREAMBLE.size:
+        raise ValueError("not a binary trace (bad magic)")
+    if len(data) < _PREAMBLE.size + _DIGEST_BYTES:
         raise ValueError("binary trace truncated before header")
     _, version, header_len = _PREAMBLE.unpack_from(data)
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported trace container version {version}")
+    end = len(data) - _DIGEST_BYTES
+    if hashlib.sha256(data[:end]).digest() != data[end:]:
+        raise ValueError("binary trace checksum mismatch")
     body = _PREAMBLE.size + header_len
-    if len(data) < body:
+    if end < body:
         raise ValueError("binary trace truncated inside header")
     header = json.loads(data[_PREAMBLE.size:body].decode("utf-8"))
     program = program_from_json(header["program"])
     columns_payload: dict = {"n": header["n"]}
     offset = body
     for key, length in header["sections"]:
-        end = offset + length
-        if end > len(data):
+        if offset + length > end:
             raise ValueError(f"binary trace truncated in section {key!r}")
-        columns_payload[key] = data[offset:end]
-        offset = end
+        columns_payload[key] = data[offset:offset + length]
+        offset += length
     for key in _COLUMN_KEYS:
         if key not in columns_payload:
             raise ValueError(f"binary trace missing section {key!r}")
@@ -245,5 +233,5 @@ def save_run(run: RunResult, path: str | Path) -> None:
 
 
 def load_run(path: str | Path) -> RunResult:
-    """Load a run saved by :func:`save_run` (either generation)."""
+    """Load a run saved by :func:`save_run`."""
     return run_from_bytes(Path(path).read_bytes())

@@ -169,8 +169,8 @@ class WorkloadCache:
         """
         if name in self._cache:
             return "memory"
-        if self.trace_cache is not None and self.trace_cache.existing_path_for(
-                name, self.seed, self.max_instructions) is not None:
+        if self.trace_cache is not None and self.trace_cache.path_for(
+                name, self.seed, self.max_instructions).is_file():
             return "disk"
         return "computed"
 

@@ -280,11 +280,13 @@ class BackendManager:
     @staticmethod
     def _drain_stdout(process: subprocess.Popen) -> None:
         """Keep reading the shard's stdout so it never blocks on a full
-        pipe once it starts logging requests."""
+        pipe once it starts logging requests; close it once the shard
+        has exited."""
         def _drain() -> None:
             assert process.stdout is not None
-            for _ in process.stdout:
-                pass
+            with process.stdout:
+                for _ in process.stdout:
+                    pass
 
         threading.Thread(target=_drain, daemon=True,
                          name=f"router-drain-{process.pid}").start()

@@ -20,6 +20,9 @@ from __future__ import annotations
 
 import asyncio
 import os
+import signal
+import threading
+import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
 #: Row key set on per-spec evaluation failure (the batch itself is fine).
@@ -254,10 +257,27 @@ def prime_workload(workload: str, instructions: int, seed: int) -> str:
     return workload
 
 
-def _init_worker(trace_dir: str | None) -> None:
-    """Pool initializer: point workers at the shared persistent cache."""
+def _init_worker(trace_dir: str | None, parent: int) -> None:
+    """Pool initializer: point workers at the shared persistent cache.
+
+    A forked worker inherits the serve loop's SIGTERM routing (a no-op
+    handler plus a wakeup fd shared with the parent's loop), so SIGTERM
+    would stop the parent and spare the worker; restore the default.
+    A worker also exits once its parent (pid ``parent``) is gone, so a
+    SIGKILLed server leaves no orphaned worker behind.
+    """
     if trace_dir:
         os.environ["REPRO_TRACE_CACHE"] = trace_dir
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+    def _exit_with_parent() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=_exit_with_parent, daemon=True,
+                     name="serve-worker-parent-watch").start()
 
 
 # -- service-side pool handle ----------------------------------------------
@@ -286,7 +306,7 @@ class WorkerPool:
             self._executor = ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=_init_worker,
-                initargs=(self.trace_dir,),
+                initargs=(self.trace_dir, os.getpid()),
             )
         return self._executor
 

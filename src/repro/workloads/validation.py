@@ -10,6 +10,7 @@ regression guard and available to users adding new profiles.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.cpu.functional import RunResult
@@ -44,36 +45,38 @@ def characterise(run: RunResult) -> WorkloadCharacter:
     """Measure the realised behaviour of a functional run."""
     total = max(run.instructions, 1)
     fractions: dict[str, float] = {}
-    nonrep = 0
     for fu_name, count in run.class_counts.items():
         cls = _CLASS_OF_FU.get(fu_name, "int")
         fractions[cls] = fractions.get(cls, 0.0) + count / total
-    lines: set[int] = set()
-    chase_loads = 0
-    loads = 0
-    branches = 0
-    taken = 0
-    pcs: set[int] = set()
-    for entry in run.trace:
-        pcs.add(entry.pc)
-        spec = entry.instr.spec
+    columns = run.columns
+    instrs = run.program.instructions
+    # Static properties are weighed by how often each pc committed.
+    pc_counts = Counter(columns.pcs)
+    nonrep = loads = chase_loads = branches = 0
+    conditional: set[int] = set()
+    for pc, count in pc_counts.items():
+        instr = instrs[pc]
+        spec = instr.spec
         if spec.is_nonrepeatable:
-            nonrep += 1
-        if entry.addr >= 0:
-            lines.add(entry.addr >> 6)
-        if entry.addr2 >= 0:
-            lines.add(entry.addr2 >> 6)
+            nonrep += count
         if spec.is_load:
-            loads += 1
+            loads += count
             # A pointer-chase load reads its next address into its own
             # address register (ld rd==rs1 pattern from the generator).
-            if entry.instr.op is Opcode.LD \
-                    and entry.instr.rd == entry.instr.rs1:
-                chase_loads += 1
-        if spec.is_branch and entry.instr.op not in (Opcode.JMP,
-                                                     Opcode.JALR):
-            branches += 1
-            taken += entry.taken
+            if instr.op is Opcode.LD and instr.rd == instr.rs1:
+                chase_loads += count
+        if spec.is_branch and instr.op not in (Opcode.JMP, Opcode.JALR):
+            branches += count
+            conditional.add(pc)
+    pcs = columns.pcs
+    taken = sum(1 for idx, _, row_taken in columns.br_rows
+                if row_taken and pcs[idx] in conditional)
+    lines: set[int] = set()
+    for row in columns.mem_rows:
+        if row[1] >= 0:
+            lines.add(row[1] >> 6)
+        if row[2] >= 0:
+            lines.add(row[2] >> 6)
     fractions["nonrep"] = nonrep / total
     return WorkloadCharacter(
         instructions=run.instructions,
@@ -81,7 +84,7 @@ def characterise(run: RunResult) -> WorkloadCharacter:
         data_footprint_lines=len(lines),
         dependent_load_fraction=chase_loads / loads if loads else 0.0,
         taken_fraction=taken / branches if branches else 0.0,
-        static_instructions_touched=len(pcs),
+        static_instructions_touched=len(pc_counts),
     )
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.checker import CheckerCore
-from repro.core.lsl import RecordKind, record_from_trace
+from repro.core.lsl import RecordKind, records_from_columns
 from repro.core.lspu import LoadStorePushUnit
 from repro.core.system import CheckMode, ParaVerserConfig, ParaVerserSystem
 from repro.cpu.config import CoreInstance
@@ -38,6 +38,19 @@ def run_program(text, max_instructions=2000):
     return program, memory, core.run(max_instructions)
 
 
+def first_bcopy_row(result):
+    """The memory-plane row of the first committed BCOPY."""
+    cols = result.columns
+    instrs = result.program.instructions
+    return next(row for row in cols.mem_rows
+                if instrs[cols.pcs[row[0]]].op is Opcode.BCOPY)
+
+
+def first_bulk_record(result):
+    return next(r for r in records_from_columns(result.columns)
+                if r.kind is RecordKind.BULK)
+
+
 class TestBulkFunctional:
     def test_bcopy_moves_words(self):
         _, memory, _ = run_program("""
@@ -59,10 +72,9 @@ class TestBulkFunctional:
             bcopy x2, x3, 4
             halt
         """)
-        entry = next(e for e in result.trace
-                     if e.instr.op is Opcode.BCOPY)
-        assert entry.bulk == (5, 0, 0, 0)
-        assert entry.addr == 0x1000 and entry.addr2 == 0x2000
+        row = first_bcopy_row(result)
+        assert result.columns.bulks[row[0]] == (5, 0, 0, 0)
+        assert row[1] == 0x1000 and row[2] == 0x2000  # addr, addr2
 
     def test_bcopy_word_count_clamped(self):
         _, _, result = run_program("""
@@ -71,24 +83,19 @@ class TestBulkFunctional:
             bcopy x2, x3, 99
             halt
         """)
-        entry = next(e for e in result.trace
-                     if e.instr.op is Opcode.BCOPY)
-        assert len(entry.bulk) == 32  # hardware limit
+        row = first_bcopy_row(result)
+        assert len(result.columns.bulks[row[0]]) == 32  # hardware limit
 
     def test_bulk_record_is_oversized(self):
         _, _, result = run_program(BULK_PROGRAM, 200)
-        entry = next(e for e in result.trace
-                     if e.instr.op is Opcode.BCOPY)
-        record = record_from_trace(entry, 0)
-        assert record.kind is RecordKind.BULK
+        record = first_bulk_record(result)
+        assert record.trace_index == first_bcopy_row(result)[0]
         # 16 loads + 16 stores at 16 B each: far beyond one 64 B line.
         assert record.entry_bytes() > 64
 
     def test_lspu_spreads_bulk_entry_over_lines(self):
         _, _, result = run_program(BULK_PROGRAM, 200)
-        entry = next(e for e in result.trace
-                     if e.instr.op is Opcode.BCOPY)
-        record = record_from_trace(entry, 0)
+        record = first_bulk_record(result)
         lspu = LoadStorePushUnit()
         pushed = lspu.record(record)
         assert pushed and pushed[-1].lines > 1

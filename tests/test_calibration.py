@@ -62,7 +62,7 @@ def measured(name: str):
                               build_uncore(config, 0.0),
                               checker_mode=True)
         checker.warm_code(program)
-        checker_t = checker.simulate(program, run.trace)
+        checker_t = checker.simulate(program, run.columns)
         _cache[name] = (main, checker_t)
     return _cache[name]
 

@@ -167,46 +167,6 @@ class TestCommands:
         assert "purged entries:    1" in capsys.readouterr().out
         assert tc.info()["entries"] == 0
 
-    def test_cache_migrate(self, capsys, tmp_path):
-        import json
-
-        from repro.cpu import traceio
-        from repro.cpu.tracecache import TraceCache
-        from repro.harness.runner import WorkloadCache
-
-        tc = TraceCache(tmp_path)
-        run = WorkloadCache(max_instructions=4000, seed=7,
-                            trace_cache=None).get("exchange2").run
-        legacy = tc.path_for("exchange2", 7, 4000).with_suffix(".json")
-        legacy.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "version": 1,
-            "program": traceio.program_to_json(run.program),
-            "trace": [[e.pc, e.addr, e.addr2, e.size, e.loaded,
-                       e.loaded2, e.stored, e.nonrep,
-                       1 if e.taken else 0, e.next_pc,
-                       list(e.bulk) if e.bulk is not None else None]
-                      for e in run.trace],
-            "start_checkpoint": {
-                "ints": list(run.start_checkpoint.ints),
-                "fps": list(run.start_checkpoint.fps),
-                "pc": run.start_checkpoint.pc},
-            "end_checkpoint": {
-                "ints": list(run.end_checkpoint.ints),
-                "fps": list(run.end_checkpoint.fps),
-                "pc": run.end_checkpoint.pc},
-            "halted": run.halted,
-            "instructions": run.instructions,
-            "class_counts": run.class_counts,
-        }
-        legacy.write_text(json.dumps(payload))
-        assert main(["cache", "migrate", "--dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "migrated entries:  1" in out
-        assert not legacy.exists()
-        hit = tc.get("exchange2", 7, 4000)
-        assert hit is not None and hit.columns == run.columns
-
     def test_fleet_prints_cell_table(self, capsys):
         code = main(["fleet", "--policies", "shortest", "--modes", "full",
                      "--loads", "0.7", "--duration", "0.2", "-j", "1"])

@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.counter import SegmentBuilder
-from repro.core.lsl import record_from_trace
+from repro.core.lsl import records_from_columns
 from repro.core.lspu import LoadStorePushUnit
 from repro.core.system import CheckMode, ParaVerserConfig, ParaVerserSystem
 from repro.cpu.config import CoreInstance
 from repro.cpu.presets import A510, X2
 from repro.workloads.generator import build_program
 from repro.workloads.profiles import WorkloadProfile, get_profile
+from tests.test_oracles import assert_same_cuts, dense_split
 
 
 def generated_trace(loads, stores, bulk, seed, instructions=2_500):
@@ -44,7 +45,7 @@ def test_lspu_packing_matches_segment_builder_preview(loads, stores, bulk,
     _, _, run = generated_trace(loads, stores, bulk, seed)
     builder = SegmentBuilder(lsl_capacity_bytes=8192,
                              timeout_instructions=300)
-    for segment in builder.split(run.trace):
+    for segment in builder.split(run.columns):
         lspu = LoadStorePushUnit()
         lines = 0
         for record in segment.records:
@@ -62,13 +63,14 @@ def test_segment_records_equal_trace_records(seed):
     _, _, run = generated_trace(0.25, 0.1, 0.005, seed)
     builder = SegmentBuilder(lsl_capacity_bytes=32 * 1024,
                              timeout_instructions=500)
-    segments = builder.split(run.trace)
-    from_trace = [record_from_trace(e, i) for i, e in enumerate(run.trace)]
-    from_trace = [r for r in from_trace if r is not None]
+    segments = builder.split(run.columns)
+    from_trace = records_from_columns(run.columns)
     from_segments = [r for seg in segments for r in seg.records]
     assert len(from_trace) == len(from_segments)
     for a, b in zip(from_trace, from_segments):
         assert a.kind is b.kind and a.trace_index == b.trace_index
+    # The dense instruction-by-instruction walk cuts the same segments.
+    assert_same_cuts(segments, dense_split(builder, run.columns))
 
 
 class TestScheduleInvariants:

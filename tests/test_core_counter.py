@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.counter import CutReason, SegmentBuilder
-from repro.core.lsl import record_from_trace
+from repro.cpu.columns import TraceColumns
 from repro.cpu.functional import DirectMemoryPort, FunctionalCore
 from repro.isa.assembler import assemble
 from repro.mem.memory import Memory
@@ -26,7 +26,7 @@ def make_trace(loads_per_iter=2, iterations=200):
         """
     )
     core = FunctionalCore(program, DirectMemoryPort(Memory()))
-    return core.run(100_000).trace
+    return core.run(100_000).columns
 
 
 def test_timeout_cuts():
@@ -65,8 +65,10 @@ def test_records_cover_all_memory_instructions():
                              timeout_instructions=100)
     segments = builder.split(trace)
     total_records = sum(len(seg.records) for seg in segments)
-    expected = sum(1 for i, e in enumerate(trace)
-                   if record_from_trace(e, i) is not None)
+    # Every load of the loop body is a record; nothing else is.
+    expected = sum(1 for pc in trace.pcs
+                   if trace.program.instructions[pc].spec.is_load)
+    assert expected > 0
     assert total_records == expected
 
 
@@ -115,7 +117,8 @@ def test_lines_account_for_padding():
 
 
 def test_empty_trace_gives_no_segments():
-    assert SegmentBuilder(1024, 100).split([]) == []
+    empty = TraceColumns(assemble("halt"))
+    assert SegmentBuilder(1024, 100).split(empty) == []
 
 
 @settings(max_examples=25, deadline=None)

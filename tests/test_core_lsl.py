@@ -8,7 +8,7 @@ from repro.core.lsl import (
     LSLAccess,
     LSLRecord,
     RecordKind,
-    record_from_trace,
+    records_from_columns,
 )
 from repro.cpu.functional import DirectMemoryPort, FunctionalCore
 from repro.isa.instructions import Instruction, Opcode
@@ -23,14 +23,22 @@ def trace_of(*instructions, ints=None, image=None):
     core = FunctionalCore(program, DirectMemoryPort(Memory(image or {})))
     for idx, value in (ints or {}).items():
         core.regs.write_int(idx, value)
-    return core.run(100).trace
+    return core.run(100).columns
+
+
+def first_record(columns):
+    """The record of the first committed instruction, or None."""
+    records = records_from_columns(columns)
+    if records and records[0].trace_index == 0:
+        return records[0]
+    return None
 
 
 class TestRecordFromTrace:
     def test_plain_load(self):
         trace = trace_of(Instruction(Opcode.LD, rd=3, rs1=1, size=4),
                          ints={1: 0x1000}, image={0x1000: 0xAA})
-        record = record_from_trace(trace[0], 0)
+        record = first_record(trace)
         assert record.kind is RecordKind.LOAD
         access = record.accesses[0]
         assert access.addr == 0x1000 and access.size == 4
@@ -39,14 +47,14 @@ class TestRecordFromTrace:
     def test_plain_store(self):
         trace = trace_of(Instruction(Opcode.ST, rs2=2, rs1=1, size=2),
                          ints={1: 0x1000, 2: 0xBEEF})
-        record = record_from_trace(trace[0], 0)
+        record = first_record(trace)
         assert record.kind is RecordKind.STORE
         assert record.accesses[0].stored == 0xBEEF
 
     def test_swap_records_both_directions(self):
         trace = trace_of(Instruction(Opcode.SWP, rd=3, rs2=2, rs1=1),
                          ints={1: 0x10, 2: 7}, image={0x10: 5})
-        record = record_from_trace(trace[0], 0)
+        record = first_record(trace)
         assert record.kind is RecordKind.SWAP
         access = record.accesses[0]
         assert access.loaded == 5 and access.stored == 7
@@ -55,7 +63,7 @@ class TestRecordFromTrace:
         trace = trace_of(Instruction(Opcode.LDG, rd=3, rd2=4, rs1=1, rs2=2),
                          ints={1: 0x2000, 2: 0x1000},
                          image={0x1000: 1, 0x2000: 2})
-        record = record_from_trace(trace[0], 0)
+        record = first_record(trace)
         assert record.kind is RecordKind.GATHER
         assert record.accesses[0].addr == 0x1000
         assert record.accesses[1].addr == 0x2000
@@ -63,31 +71,31 @@ class TestRecordFromTrace:
     def test_scatter_sorted(self):
         trace = trace_of(Instruction(Opcode.STS, rs3=3, rs1=1, rs2=2),
                          ints={1: 0x3000, 2: 0x1000, 3: 9})
-        record = record_from_trace(trace[0], 0)
+        record = first_record(trace)
         assert record.kind is RecordKind.SCATTER
         assert record.accesses[0].addr == 0x1000
 
     def test_nonrepeatable_value(self):
         trace = trace_of(Instruction(Opcode.RDRAND, rd=3))
-        record = record_from_trace(trace[0], 0)
+        record = first_record(trace)
         assert record.kind is RecordKind.NONREP
-        assert record.accesses[0].loaded == trace[0].nonrep
+        assert record.accesses[0].loaded == trace.mem_rows[0][7]  # nonrep
 
     def test_store_conditional(self):
         trace = trace_of(Instruction(Opcode.SC, rd=3, rs2=2, rs1=1),
                          ints={1: 0x10, 2: 4})
-        record = record_from_trace(trace[0], 0)
+        record = first_record(trace)
         assert record.kind is RecordKind.NONREP_STORE
         assert record.accesses[0].loaded == 1  # success flag
         assert record.accesses[0].stored == 4
 
     def test_arithmetic_produces_no_record(self):
         trace = trace_of(Instruction(Opcode.ADD, rd=3, rs1=1, rs2=2))
-        assert record_from_trace(trace[0], 0) is None
+        assert first_record(trace) is None
 
     def test_branch_produces_no_record(self):
         trace = trace_of(Instruction(Opcode.BEQ, rs1=0, rs2=0, target=1))
-        assert record_from_trace(trace[0], 0) is None
+        assert first_record(trace) is None
 
 
 class TestEntryBytes:

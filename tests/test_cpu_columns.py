@@ -1,9 +1,9 @@
-"""Columnar traces: bit-identity vs the object path, packing round trips.
+"""Columnar traces: consumers vs test-local references, packing round trips.
 
-The gate for the columnar refactor: every consumer of a
-:class:`~repro.cpu.columns.TraceColumns` must produce *exactly* what the
-legacy per-``TraceEntry`` path produced, on every bundled benchmark —
-same LSL records, same segment cuts, same timing, same bytes on disk.
+On every bundled benchmark, the record plane must hold exactly the
+instructions that produce a load-store-log record, the sparse segmenter
+must cut exactly where a dense instruction-by-instruction walk does, and
+the packed form must round-trip bit for bit.
 """
 
 import os
@@ -14,14 +14,13 @@ from pathlib import Path
 import pytest
 
 from repro.core.counter import SegmentBuilder
-from repro.core.lsl import record_from_trace, records_from_columns
+from repro.core.lsl import RecordKind, records_from_columns
 from repro.cpu import traceio
 from repro.cpu.columns import TraceColumns, pack_column, unpack_column
-from repro.cpu.config import CoreInstance
-from repro.cpu.presets import A510, X2
-from repro.cpu.timing import TimingModel
 from repro.harness.runner import WorkloadCache
+from repro.isa.instructions import Opcode
 from repro.workloads.profiles import ALL_PROFILES
+from tests.test_oracles import assert_same_cuts, dense_split
 
 BUDGET = 2500
 SEED = 7
@@ -33,34 +32,53 @@ def cache():
                          trace_cache=None)
 
 
+#: The record kind each opcode with a fixed kind produces; other loads,
+#: stores and non-repeatable reads are plain LOAD / STORE / NONREP.
+_KIND_OF_OP = {
+    Opcode.BCOPY: RecordKind.BULK,
+    Opcode.SWP: RecordKind.SWAP,
+    Opcode.SC: RecordKind.NONREP_STORE,
+    Opcode.LDG: RecordKind.GATHER,
+    Opcode.STS: RecordKind.SCATTER,
+}
+
+
+def _expected_kind(instr):
+    spec = instr.spec
+    if instr.op in _KIND_OF_OP:
+        return _KIND_OF_OP[instr.op]
+    if spec.is_load:
+        return RecordKind.LOAD
+    if spec.is_store:
+        return RecordKind.STORE
+    if spec.is_nonrepeatable:
+        return RecordKind.NONREP
+    return None
+
+
 @pytest.mark.parametrize("name", sorted(ALL_PROFILES))
 def test_columnar_matches_object_path(cache, name):
-    """Golden gate, per bundled benchmark: columns == object path."""
+    """Golden gate, per bundled benchmark: the columnar consumers agree
+    with the per-instruction references."""
     run = cache.get(name).run
     cols = run.columns
-    entries = run.trace  # materialised object-path view
+    instrs = run.program.instructions
 
-    # Entry list <-> columns conversions are lossless inverses.
-    assert TraceColumns.from_entries(entries, run.program) == cols
-    rebuilt = cols.entries(run.program)
-    assert rebuilt == entries
-
-    # Bulk LSL record extraction matches the per-entry extraction.
-    want = [r for r in (record_from_trace(e, i)
-                        for i, e in enumerate(entries)) if r is not None]
-    assert records_from_columns(cols) == want
+    # One record per record-producing instruction, none for the rest, in
+    # commit order, each of the kind its opcode dictates.
+    records = records_from_columns(cols)
+    want = [(i, _expected_kind(instrs[pc])) for i, pc in enumerate(cols.pcs)
+            if _expected_kind(instrs[pc]) is not None]
+    assert [(r.trace_index, r.kind) for r in records] == want
+    assert [r.trace_index for r in records] \
+        == [row[0] for row in cols.mem_rows]
 
     # Sparse segmentation matches the dense walk, cut for cut —
     # including forced (interrupt) boundaries and a small timeout.
     builder = SegmentBuilder(2048, timeout_instructions=900)
-    forced = {97, len(entries) // 2, len(entries)}
-    sparse = builder.split(cols, forced)
-    dense = builder.split(entries, forced)
-    assert len(sparse) == len(dense)
-    for a, b in zip(sparse, dense):
-        assert (a.index, a.start, a.end, a.reason, a.lsl_bytes, a.lines) \
-            == (b.index, b.start, b.end, b.reason, b.lsl_bytes, b.lines)
-        assert a.records == b.records
+    forced = {97, len(cols) // 2, len(cols)}
+    assert_same_cuts(builder.split(cols, forced),
+                     dense_split(builder, cols, forced))
 
     # Packed round trip is exact.
     assert TraceColumns.from_payload(cols.to_payload(), run.program) == cols
@@ -73,16 +91,6 @@ def test_binary_container_round_trip(cache):
     assert restored.instructions == run.instructions
     assert restored.end_checkpoint == run.end_checkpoint
     assert restored.class_counts == run.class_counts
-
-
-def test_timing_identical_on_columns_and_entries(cache):
-    run = cache.get("gcc").run
-    for core in (CoreInstance(X2, 3.0), CoreInstance(A510, 2.0)):
-        a = TimingModel(core).simulate(run.program, run.columns)
-        b = TimingModel(core).simulate(run.program, run.trace)
-        assert a.cycles == b.cycles
-        assert a.mispredicts == b.mispredicts
-        assert a.level_counts == b.level_counts
 
 
 @pytest.mark.parametrize("itemsize", [1, 2, 4, 8])

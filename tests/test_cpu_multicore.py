@@ -62,7 +62,7 @@ def test_deterministic_given_same_inputs():
     a, b = go(), go()
     for run_a, run_b in zip(a, b):
         assert run_a.result.end_checkpoint.matches(run_b.result.end_checkpoint)
-        assert len(run_a.result.trace) == len(run_b.result.trace)
+        assert len(run_a.result.columns) == len(run_b.result.columns)
 
 
 def test_cross_thread_visibility():

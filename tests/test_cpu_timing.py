@@ -42,7 +42,7 @@ def test_independent_adds_bound_by_alu_count():
     body = [Instruction(Opcode.ADD, rd=6 + (i % 8), rs1=20, rs2=21)
             for i in range(16)]
     program, result = run_trace(loop_body(*body), 10_000)
-    timing = simulate(program, result.trace)
+    timing = simulate(program, result.columns)
     # X2 has 4 INT_ALU units; adds dominate the loop.
     assert 2.5 < timing.ipc <= 5.0
 
@@ -51,7 +51,7 @@ def test_dependency_chain_bound_by_latency():
     # A chain of dependent adds can commit at most one per cycle.
     body = [Instruction(Opcode.ADD, rd=6, rs1=6, rs2=21) for _ in range(16)]
     program, result = run_trace(loop_body(*body), 10_000)
-    timing = simulate(program, result.trace)
+    timing = simulate(program, result.columns)
     assert timing.ipc <= 1.25
 
 
@@ -60,11 +60,11 @@ def test_fdiv_throughput_bound():
     body = [Instruction(Opcode.FDIV, rd=i % 4, rs1=4, rs2=5)
             for i in range(8)]
     program, result = run_trace(loop_body(*body), 10_000)
-    timing = simulate(program, result.trace)
+    timing = simulate(program, result.columns)
     interval = X2.fus[Instruction(Opcode.FDIV).spec.fu].interval
     units = X2.fus[Instruction(Opcode.FDIV).spec.fu].units
     # Steady state: 8 divides per iteration at interval/units cycles each.
-    cycles_per_iter = timing.cycles / (len(result.trace) / 11)
+    cycles_per_iter = timing.cycles / (len(result.columns) / 11)
     assert cycles_per_iter >= 8 * interval / units * 0.8
 
 
@@ -72,9 +72,9 @@ def test_a510_fdiv_much_slower_than_x2():
     body = [Instruction(Opcode.FDIV, rd=i % 4, rs1=4, rs2=5)
             for i in range(8)]
     program, result = run_trace(loop_body(*body), 10_000)
-    x2_time = simulate(program, result.trace,
+    x2_time = simulate(program, result.columns,
                        CoreInstance(X2, 3.0)).time_ns
-    a510_time = simulate(program, result.trace,
+    a510_time = simulate(program, result.columns,
                          CoreInstance(A510, 2.0)).time_ns
     # 1 unpipelined divider at interval 20 vs 2 at interval 11, plus clock.
     assert a510_time > 3 * x2_time
@@ -83,9 +83,9 @@ def test_a510_fdiv_much_slower_than_x2():
 def test_frequency_scales_time_not_cycles():
     body = [Instruction(Opcode.ADD, rd=6, rs1=6, rs2=21)]
     program, result = run_trace(loop_body(*body), 5_000)
-    fast = simulate(program, result.trace, CoreInstance(X2, 3.0),
+    fast = simulate(program, result.columns, CoreInstance(X2, 3.0),
                     warm=True, checker_mode=True)
-    slow = simulate(program, result.trace, CoreInstance(X2, 1.5),
+    slow = simulate(program, result.columns, CoreInstance(X2, 1.5),
                     warm=True, checker_mode=True)
     assert slow.cycles == pytest.approx(fast.cycles, rel=0.01)
     assert slow.time_ns == pytest.approx(2 * fast.time_ns, rel=0.01)
@@ -104,8 +104,8 @@ def test_checker_mode_ignores_data_cache():
     ]
     program, result = run_trace(loop_body(*body), 20_000,
                                 ints={2: 12345, 21: 6364136223846793005})
-    main = simulate(program, result.trace, CoreInstance(X2, 3.0))
-    checker = simulate(program, result.trace, CoreInstance(X2, 3.0),
+    main = simulate(program, result.columns, CoreInstance(X2, 3.0))
+    checker = simulate(program, result.columns, CoreInstance(X2, 3.0),
                        warm=True, checker_mode=True)
     assert main.dram_accesses > 100
     assert checker.dram_accesses == 0
@@ -126,7 +126,7 @@ def test_mispredict_penalty_slows_random_branches():
     instrs[5].target = 7  # skip the xori
     program, result = run_trace(instrs, 20_000,
                                 ints={2: 99, 21: 6364136223846793005})
-    random_t = simulate(program, result.trace)
+    random_t = simulate(program, result.columns)
 
     body_biased = list(body_random)
     body_biased[3] = Instruction(Opcode.ANDI, rd=7, rs1=7, imm=0)  # never taken
@@ -134,7 +134,7 @@ def test_mispredict_penalty_slows_random_branches():
     instrs[5].target = 7
     program2, result2 = run_trace(instrs, 20_000,
                                   ints={2: 99, 21: 6364136223846793005})
-    biased_t = simulate(program2, result2.trace)
+    biased_t = simulate(program2, result2.columns)
     assert random_t.mispredicts > 10 * max(biased_t.mispredicts, 1)
     assert random_t.cycles > biased_t.cycles
 
@@ -142,9 +142,9 @@ def test_mispredict_penalty_slows_random_branches():
 def test_boundary_cycles_monotonic_and_complete():
     body = [Instruction(Opcode.ADD, rd=6, rs1=6, rs2=21)]
     program, result = run_trace(loop_body(*body), 9_000)
-    boundaries = [3000, 6000, len(result.trace)]
+    boundaries = [3000, 6000, len(result.columns)]
     model = TimingModel(CoreInstance(X2, 3.0))
-    timing = model.simulate(program, result.trace, boundaries)
+    timing = model.simulate(program, result.columns, boundaries)
     assert len(timing.boundary_cycles) == 3
     assert timing.boundary_cycles[0] < timing.boundary_cycles[1]
     assert timing.boundary_cycles[-1] == pytest.approx(timing.cycles)
@@ -153,11 +153,11 @@ def test_boundary_cycles_monotonic_and_complete():
 def test_checkpoint_overhead_adds_cycles():
     body = [Instruction(Opcode.ADD, rd=6, rs1=6, rs2=21)]
     program, result = run_trace(loop_body(*body), 9_000)
-    boundaries = list(range(1000, len(result.trace), 1000))
+    boundaries = list(range(1000, len(result.columns), 1000))
     base = TimingModel(CoreInstance(X2, 3.0)).simulate(
-        program, result.trace, boundaries, checkpoint_overhead=False)
+        program, result.columns, boundaries, checkpoint_overhead=False)
     with_ckpt = TimingModel(CoreInstance(X2, 3.0)).simulate(
-        program, result.trace, boundaries, checkpoint_overhead=True)
+        program, result.columns, boundaries, checkpoint_overhead=True)
     assert with_ckpt.cycles > base.cycles
 
 
@@ -167,11 +167,11 @@ def test_in_order_core_slower_on_dependent_loads():
     instrs = loop_body(*body)
     program, result = run_trace(instrs, 10_000, image=image,
                                 ints={5: 0x1000})
-    ooo = simulate(program, result.trace, CoreInstance(X2, 2.0),
+    ooo = simulate(program, result.columns, CoreInstance(X2, 2.0),
                    checker_mode=True)
-    inorder = simulate(program, result.trace, CoreInstance(A510, 2.0),
+    inorder = simulate(program, result.columns, CoreInstance(A510, 2.0),
                        checker_mode=True)
-    scalar = simulate(program, result.trace, CoreInstance(A35, 2.0),
+    scalar = simulate(program, result.columns, CoreInstance(A35, 2.0),
                       checker_mode=True)
     assert ooo.cycles <= inorder.cycles <= scalar.cycles * 1.5
 
@@ -180,7 +180,7 @@ def test_scalar_core_ipc_at_most_one():
     body = [Instruction(Opcode.ADD, rd=6 + (i % 8), rs1=20, rs2=21)
             for i in range(8)]
     program, result = run_trace(loop_body(*body), 10_000)
-    timing = simulate(program, result.trace, CoreInstance(A35, 2.0),
+    timing = simulate(program, result.columns, CoreInstance(A35, 2.0),
                       checker_mode=True)
     assert timing.ipc <= 1.0
 
@@ -194,7 +194,7 @@ def test_dram_bandwidth_floor_binds_streaming():
     ] * 4
     program, result = run_trace(loop_body(*body), 40_000,
                                 ints={7: 0x100000})
-    timing = simulate(program, result.trace)
+    timing = simulate(program, result.columns)
     lines = timing.dram_accesses
     floor_ns = lines * 64 / 19.2
     assert timing.time_ns >= floor_ns * 0.99
@@ -207,10 +207,10 @@ def test_warm_data_removes_cold_misses():
     program, result = run_trace(loop_body(*body), 5_000,
                                 ints={7: 0x8000})
     cold = TimingModel(CoreInstance(X2, 3.0))
-    cold_t = cold.simulate(program, result.trace)
+    cold_t = cold.simulate(program, result.columns)
     warm = TimingModel(CoreInstance(X2, 3.0))
     warm.warm_data(addresses)
-    warm_t = warm.simulate(program, result.trace)
+    warm_t = warm.simulate(program, result.columns)
     assert warm_t.dram_accesses < cold_t.dram_accesses
 
 
@@ -222,7 +222,7 @@ def test_stride_prefetcher_hides_streaming_misses():
     program, result = run_trace(loop_body(*body), 30_000,
                                 ints={7: 0x100000})
     model = TimingModel(CoreInstance(X2, 3.0))
-    timing = model.simulate(program, result.trace)
+    timing = model.simulate(program, result.columns)
     assert model.prefetches_issued > 1000
     # Demand accesses mostly hit (the prefetch takes the misses).
     assert timing.level_counts["l1"] + timing.level_counts["l2"] \
@@ -235,7 +235,7 @@ def test_loads_and_stores_counted():
         Instruction(Opcode.ST, rs2=8, rs1=7, imm=8),
     ]
     program, result = run_trace(loop_body(*body), 4_004, ints={7: 0x1000})
-    timing = simulate(program, result.trace)
+    timing = simulate(program, result.columns)
     assert timing.loads == pytest.approx(timing.stores, abs=2)
     assert timing.loads > 500
 
@@ -247,7 +247,7 @@ def test_format_stats_reports_fu_utilisation():
             for i in range(8)]
     program, result = run_trace(loop_body(*body), 5_000)
     model = TimingModel(CoreInstance(X2, 3.0))
-    timing = model.simulate(program, result.trace)
+    timing = model.simulate(program, result.columns)
     text = format_stats(timing, X2)
     assert "simInsts        5000" in text
     assert "fu.fp_div" in text
@@ -260,5 +260,5 @@ def test_format_stats_reports_fu_utilisation():
 def test_fu_issue_counts_cover_all_instructions():
     body = [Instruction(Opcode.ADD, rd=6, rs1=6, rs2=21)]
     program, result = run_trace(loop_body(*body), 4_000)
-    timing = simulate(program, result.trace)
+    timing = simulate(program, result.columns)
     assert sum(timing.fu_issue_counts.values()) == timing.instructions

@@ -1,14 +1,17 @@
 """Persistent trace cache: round-trip, keying, invalidation, determinism."""
 
-import json
+import zlib
 
 import pytest
 
 from repro.core.system import CheckMode
 from repro.cpu import tracecache, traceio
 from repro.harness.experiments import a510
+from repro.cpu.functional import DirectMemoryPort, FunctionalCore
 from repro.cpu.tracecache import TraceCache, cache_key, env_trace_cache
 from repro.harness.runner import WorkloadCache, make_config
+from repro.isa.assembler import assemble
+from repro.mem.memory import Memory
 from repro.workloads.generator import build_program
 from repro.workloads.profiles import get_profile
 
@@ -25,14 +28,14 @@ def run_result():
 
 
 def test_traceio_round_trip(tmp_path, run_result):
-    path = tmp_path / "run.json"
+    path = tmp_path / "run.pvtc"
     traceio.save_run(run_result, path)
     loaded = traceio.load_run(path)
     assert loaded.instructions == run_result.instructions
     assert loaded.halted == run_result.halted
     assert loaded.end_checkpoint == run_result.end_checkpoint
-    assert len(loaded.trace) == len(run_result.trace)
-    assert all(a == b for a, b in zip(loaded.trace, run_result.trace))
+    assert len(loaded.columns) == len(run_result.columns)
+    assert loaded.columns == run_result.columns
     assert loaded.program.instructions == run_result.program.instructions
 
 
@@ -49,7 +52,8 @@ def test_cache_key_tracks_versions(monkeypatch):
     monkeypatch.setattr(tracecache, "CACHE_VERSION", 999)
     bumped = cache_key(BENCH, SEED, BUDGET)
     assert base != bumped
-    monkeypatch.setattr(tracecache, "CACHE_VERSION", 1)
+    monkeypatch.undo()
+    assert cache_key(BENCH, SEED, BUDGET) == base
     monkeypatch.setattr(traceio, "TRACE_SEMANTICS_VERSION", 999)
     assert cache_key(BENCH, SEED, BUDGET) != base
 
@@ -82,85 +86,23 @@ def test_corrupt_entry_is_evicted(tmp_path, run_result, caplog):
 
 def test_stale_format_version_is_evicted(tmp_path, run_result):
     tc = TraceCache(tmp_path)
-    path = tc.path_for(BENCH, SEED, BUDGET).with_suffix(".json")
-    payload = traceio.run_to_payload(run_result)
-    payload = {"version": -1, "program": payload["program"]}
+    path = tc.path_for(BENCH, SEED, BUDGET)
+    raw = bytearray(traceio.run_to_bytes(run_result))
+    raw[4] = traceio.FORMAT_VERSION - 1  # container version byte
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload))
+    path.write_bytes(zlib.compress(bytes(raw)))
     assert tc.get(BENCH, SEED, BUDGET) is None
     assert not path.exists()
 
 
-def _legacy_entry_payload(run) -> dict:
-    """A v1 JSON cache entry, as the old writer produced it."""
-    return {
-        "version": 1,
-        "program": traceio.program_to_json(run.program),
-        "trace": [[e.pc, e.addr, e.addr2, e.size, e.loaded, e.loaded2,
-                   e.stored, e.nonrep, 1 if e.taken else 0, e.next_pc,
-                   list(e.bulk) if e.bulk is not None else None]
-                  for e in run.trace],
-        "start_checkpoint": {"ints": list(run.start_checkpoint.ints),
-                             "fps": list(run.start_checkpoint.fps),
-                             "pc": run.start_checkpoint.pc},
-        "end_checkpoint": {"ints": list(run.end_checkpoint.ints),
-                           "fps": list(run.end_checkpoint.fps),
-                           "pc": run.end_checkpoint.pc},
-        "halted": run.halted,
-        "instructions": run.instructions,
-        "class_counts": run.class_counts,
-    }
-
-
-def test_legacy_json_entry_hits_and_migrates(tmp_path, run_result):
-    """Entries written by the JSON-era cache keep hitting; ``migrate``
-    rewrites them in the compressed binary format, bit-identically."""
-    tc = TraceCache(tmp_path)
-    path = tc.path_for(BENCH, SEED, BUDGET).with_suffix(".json")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(_legacy_entry_payload(run_result)))
-
-    hit = tc.get(BENCH, SEED, BUDGET)
-    assert hit is not None
-    assert hit.columns == run_result.columns
-    assert tc.info()["legacy_entries"] == 1
-
-    assert tc.migrate() == 1
-    assert not path.exists()
-    assert tc.path_for(BENCH, SEED, BUDGET).exists()
-    migrated = tc.get(BENCH, SEED, BUDGET)
-    assert migrated is not None
-    assert migrated.columns == run_result.columns
-    info = tc.info()
-    assert info["legacy_entries"] == 0 and info["current_entries"] == 1
-
-
-def test_new_entry_shadows_legacy(tmp_path, run_result):
-    tc = TraceCache(tmp_path)
-    path = tc.path_for(BENCH, SEED, BUDGET).with_suffix(".json")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("{not json")  # would be evicted if ever read
-    tc.put(BENCH, SEED, BUDGET, run_result)
-    assert tc.existing_path_for(BENCH, SEED, BUDGET) \
-        == tc.path_for(BENCH, SEED, BUDGET)
-    assert tc.get(BENCH, SEED, BUDGET) is not None
-    assert path.exists()  # the shadowed legacy file was never touched
-
-
-def test_entries_are_compressed_and_raw_binary_still_loads(tmp_path,
-                                                           run_result):
+def test_entries_are_compressed(tmp_path, run_result):
     tc = TraceCache(tmp_path)
     tc.put(BENCH, SEED, BUDGET, run_result)
-    path = tc.path_for(BENCH, SEED, BUDGET)
-    data = path.read_bytes()
+    data = tc.path_for(BENCH, SEED, BUDGET).read_bytes()
     raw = traceio.run_to_bytes(run_result)
     assert data[0] == 0x78  # zlib magic byte
     assert len(data) < len(raw)
-    # A raw (uncompressed) binary container is sniffed and loads too.
-    path.write_bytes(raw)
-    hit = tc.get(BENCH, SEED, BUDGET)
-    assert hit is not None
-    assert hit.columns == run_result.columns
+    assert zlib.decompress(data) == raw
 
 
 def test_stats_counters(tmp_path, run_result):
@@ -265,7 +207,7 @@ def test_concurrent_writers_never_publish_torn_entries(tmp_path,
                 # A miss (not-yet-written) is fine; a torn entry is not.
                 if hit is not None:
                     assert hit.instructions == run_result.instructions
-                    assert len(hit.trace) == len(run_result.trace)
+                    assert len(hit.columns) == len(run_result.columns)
         except Exception as exc:  # pragma: no cover - failure path
             errors.append(exc)
 
@@ -300,3 +242,98 @@ def test_put_failure_leaves_no_temp_files(tmp_path, run_result,
     with pytest.raises(OSError):
         tc.put(BENCH, SEED, BUDGET, run_result)
     assert list(tmp_path.iterdir()) == []
+
+
+# -- container integrity: truncations and bit flips ---------------------------
+
+
+def _small_run():
+    program = assemble(
+        """
+        addi x1, x0, 5
+        lui x2, 0x1000
+        loop:
+        ld x3, 0(x2)
+        st x3, 8(x2)
+        subi x1, x1, 1
+        bne x1, x0, loop
+        halt
+        """
+    )
+    return FunctionalCore(program, DirectMemoryPort(Memory())).run(1000)
+
+
+def _same_run(a, b):
+    return (a.columns == b.columns
+            and a.program.instructions == b.program.instructions
+            and a.program.memory_image == b.program.memory_image
+            and a.start_checkpoint == b.start_checkpoint
+            and a.end_checkpoint == b.end_checkpoint
+            and a.halted == b.halted
+            and a.instructions == b.instructions
+            and a.class_counts == b.class_counts)
+
+
+def _damaged_get(tc, key, run, blob):
+    """Publish ``blob`` as the entry for ``key``; a hit must equal ``run``
+    and a miss must evict the file.  Then a put/get must round-trip."""
+    path = tc.path_for(*key)
+    path.write_bytes(blob)
+    hit = tc.get(*key)
+    if hit is None:
+        assert not path.exists()
+    else:
+        assert _same_run(hit, run)
+    tc.put(*key, run)
+    again = tc.get(*key)
+    assert again is not None and _same_run(again, run)
+    return hit
+
+
+def test_every_bit_flip_is_a_miss_or_the_stored_run(tmp_path):
+    run = _small_run()
+    tc = TraceCache(tmp_path)
+    key = ("small", 0, 1000)
+    tc.put(*key, run)
+    blob = tc.path_for(*key).read_bytes()
+    misses = 0
+    for offset in range(len(blob)):
+        damaged = bytearray(blob)
+        damaged[offset] ^= 1 << (offset % 8)  # every bit position in turn
+        misses += _damaged_get(tc, key, run, bytes(damaged)) is None
+    assert misses > 0
+
+
+@pytest.mark.parametrize("where", ["zero", "one", "mid", "last"])
+def test_truncated_entry_is_a_miss(tmp_path, where):
+    run = _small_run()
+    tc = TraceCache(tmp_path)
+    key = ("small", 0, 1000)
+    tc.put(*key, run)
+    blob = tc.path_for(*key).read_bytes()
+    cut = {"zero": 0, "one": 1, "mid": len(blob) // 2,
+           "last": len(blob) - 1}[where]
+    assert _damaged_get(tc, key, run, blob[:cut]) is None
+
+
+def test_x264_flip_that_zlib_accepts_is_a_miss(tmp_path):
+    """A single-bit flip 100 bytes before the end of this x264 entry
+    decodes to a well-formed zlib stream (Adler-32 intact) whose branch
+    plane differs from the stored one; the container's SHA-256 trailer
+    is what turns it into a miss."""
+    run = WorkloadCache(max_instructions=3000, seed=7,
+                        trace_cache=None).get("x264").run
+    tc = TraceCache(tmp_path)
+    key = ("x264", 7, 3000)
+    tc.put(*key, run)
+    blob = tc.path_for(*key).read_bytes()
+    damaged = bytearray(blob)
+    damaged[len(blob) - 100] ^= 1 << 7
+    _damaged_get(tc, key, run, bytes(damaged))
+    # The same kind of damage, made independent of how deflate laid out
+    # this blob: branch-plane bytes changed under a valid zlib checksum.
+    raw = bytearray(zlib.decompress(blob))
+    b_next = raw.index(run.columns.to_payload()["b_next"])
+    for offset in range(b_next, b_next + 4):
+        raw[offset] ^= 0x01
+    assert _damaged_get(tc, key, run, zlib.compress(bytes(raw))) is None

@@ -1,5 +1,6 @@
 """Tests for trace/program serialization."""
 
+import hashlib
 import json
 
 import pytest
@@ -43,23 +44,24 @@ def test_program_roundtrip(run_and_program):
 
 def test_run_roundtrip(tmp_path, run_and_program):
     _, _, run = run_and_program
-    path = tmp_path / "run.json"
+    path = tmp_path / "run.pvtc"
     save_run(run, path)
     restored = load_run(path)
     assert restored.instructions == run.instructions
     assert restored.halted == run.halted
     assert restored.start_checkpoint.matches(run.start_checkpoint)
     assert restored.end_checkpoint.matches(run.end_checkpoint)
-    assert len(restored.trace) == len(run.trace)
-    for a, b in zip(restored.trace[:200], run.trace[:200]):
-        assert (a.pc, a.addr, a.loaded, a.stored, a.taken, a.next_pc, a.bulk) \
-            == (b.pc, b.addr, b.loaded, b.stored, b.taken, b.next_pc, b.bulk)
+    a, b = restored.columns, run.columns
+    assert len(a) == len(b)
+    assert (a.pcs, a.mem_rows, a.br_rows, a.bulks) \
+        == (b.pcs, b.mem_rows, b.br_rows, b.bulks)
+    assert a.bulks  # x264 exercises the BCOPY side table
 
 
 def test_loaded_trace_is_checkable(tmp_path, run_and_program):
     """A reloaded run must drive segmentation + healthy replay cleanly."""
     system, _, run = run_and_program
-    path = tmp_path / "run.json"
+    path = tmp_path / "run.pvtc"
     save_run(run, path)
     restored = load_run(path)
     segments = system.segment(restored)
@@ -71,13 +73,13 @@ def test_loaded_trace_is_checkable(tmp_path, run_and_program):
 
 def test_loaded_trace_times_identically(tmp_path, run_and_program):
     _, _, run = run_and_program
-    path = tmp_path / "run.json"
+    path = tmp_path / "run.pvtc"
     save_run(run, path)
     restored = load_run(path)
     original = TimingModel(CoreInstance(X2, 3.0)).simulate(
-        run.program, run.trace)
+        run.program, run.columns)
     reloaded = TimingModel(CoreInstance(X2, 3.0)).simulate(
-        restored.program, restored.trace)
+        restored.program, restored.columns)
     assert reloaded.cycles == pytest.approx(original.cycles)
 
 
@@ -92,35 +94,8 @@ def test_format_is_binary_container(tmp_path, run_and_program):
     header = json.loads(data[13:13 + header_len].decode("utf-8"))
     assert header["n"] == run.instructions
     assert sum(length for _, length in header["sections"]) \
-        == len(data) - 13 - header_len
-
-
-def test_legacy_json_files_still_load(tmp_path, run_and_program):
-    """Files written by the v1 JSON writer keep loading bit-identically."""
-    _, _, run = run_and_program
-    path = tmp_path / "run.json"
-    legacy = {
-        "version": 1,
-        "program": traceio.program_to_json(run.program),
-        "trace": [[e.pc, e.addr, e.addr2, e.size, e.loaded, e.loaded2,
-                   e.stored, e.nonrep, 1 if e.taken else 0, e.next_pc,
-                   list(e.bulk) if e.bulk is not None else None]
-                  for e in run.trace],
-        "start_checkpoint": {"ints": list(run.start_checkpoint.ints),
-                             "fps": list(run.start_checkpoint.fps),
-                             "pc": run.start_checkpoint.pc},
-        "end_checkpoint": {"ints": list(run.end_checkpoint.ints),
-                           "fps": list(run.end_checkpoint.fps),
-                           "pc": run.end_checkpoint.pc},
-        "halted": run.halted,
-        "instructions": run.instructions,
-        "class_counts": run.class_counts,
-    }
-    path.write_text(json.dumps(legacy))
-    restored = load_run(path)
-    assert restored.instructions == run.instructions
-    assert restored.end_checkpoint.matches(run.end_checkpoint)
-    assert restored.columns == run.columns
+        == len(data) - 13 - header_len - 32
+    assert data[-32:] == hashlib.sha256(data[:-32]).digest()
 
 
 def test_version_check(tmp_path, run_and_program):
@@ -134,4 +109,20 @@ def test_version_check(tmp_path, run_and_program):
         load_run(path)
     path.write_text(json.dumps({"version": 99}))
     with pytest.raises(ValueError):
+        load_run(path)
+    with pytest.raises(ValueError):
+        traceio.run_from_payload({"version": 99})
+
+
+def test_flipped_section_byte_is_rejected(tmp_path, run_and_program):
+    """A file written by ``save_run`` with one byte of a column section
+    flipped must not load as a different trace."""
+    _, _, run = run_and_program
+    path = tmp_path / "run.pvtc"
+    save_run(run, path)
+    data = bytearray(path.read_bytes())
+    header_len = int.from_bytes(data[5:13], "little")
+    data[13 + header_len] ^= 0x01  # first byte of the first section (pcs)
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="checksum"):
         load_run(path)

@@ -147,7 +147,9 @@ def test_sysrd_identifies_core():
 def test_nonrep_values_recorded_in_trace():
     core = make_core("rdrand x1\nhalt", seed=1)
     result = core.run(10)
-    assert result.trace[0].nonrep == core.regs.read_int(1)
+    idx, *_, nonrep = result.columns.mem_rows[0]
+    assert idx == 0
+    assert nonrep == core.regs.read_int(1)
 
 
 def test_trace_branch_outcomes():
@@ -162,9 +164,12 @@ def test_trace_branch_outcomes():
         """
     )
     result = core.run(100)
-    branches = [e for e in result.trace if e.instr.spec.is_branch]
-    assert branches[0].taken is True
-    assert branches[1].taken is False
+    cols = result.columns
+    instrs = result.program.instructions
+    branches = [(instrs[cols.pcs[idx]].op, taken)
+                for idx, _, taken in cols.br_rows]
+    assert branches[0] == (Opcode.BNE, True)
+    assert branches[1] == (Opcode.BEQ, False)
 
 
 def test_checkpoints_bracket_run():
@@ -194,5 +199,7 @@ def test_identical_seeds_reproduce_full_trace():
     """
     a, b = make_core(text, seed=9), make_core(text, seed=9)
     ra, rb = a.run(1000), b.run(1000)
-    assert [e.nonrep for e in ra.trace] == [e.nonrep for e in rb.trace]
+    assert [(row[0], row[7]) for row in ra.columns.mem_rows] \
+        == [(row[0], row[7]) for row in rb.columns.mem_rows]  # nonrep
+    assert ra.columns == rb.columns
     assert ra.end_checkpoint.matches(rb.end_checkpoint)

@@ -108,10 +108,11 @@ def test_trace_records_load_metadata():
         ints={1: 0x1000},
         image={0x1008: 0xABCD},
     )
-    entry = result.trace[0]
-    assert entry.addr == 0x1008
-    assert entry.size == 4
-    assert entry.loaded == 0xABCD
+    idx, addr, _, size, loaded, _, _, _ = result.columns.mem_rows[0]
+    assert idx == 0
+    assert addr == 0x1008
+    assert size == 4
+    assert loaded == 0xABCD
 
 
 def test_trace_records_store_metadata():
@@ -119,9 +120,10 @@ def test_trace_records_store_metadata():
         Instruction(Opcode.ST, rs2=2, rs1=1, imm=0, size=2),
         ints={1: 0x1000, 2: 0x12345},
     )
-    entry = result.trace[0]
-    assert entry.stored == 0x2345
-    assert entry.size == 2
+    idx, _, _, size, _, _, stored, _ = result.columns.mem_rows[0]
+    assert idx == 0
+    assert stored == 0x2345
+    assert size == 2
 
 
 def test_trace_records_gather_pair():
@@ -130,9 +132,10 @@ def test_trace_records_gather_pair():
         ints={1: 0x1000, 2: 0x2000},
         image={0x1000: 1, 0x2000: 2},
     )
-    entry = result.trace[0]
-    assert entry.addr == 0x1000 and entry.addr2 == 0x2000
-    assert entry.loaded == 1 and entry.loaded2 == 2
+    idx, addr, addr2, _, loaded, loaded2, _, _ = result.columns.mem_rows[0]
+    assert idx == 0
+    assert addr == 0x1000 and addr2 == 0x2000
+    assert loaded == 1 and loaded2 == 2
 
 
 @given(st.integers(min_value=0, max_value=(1 << 40) - 1),

@@ -6,6 +6,10 @@ what it must compute.  Every campaign aggregate is a
 campaign must equal the sum of the tallies of any split of its trials
 into windows, and the router's merge of the windows' rows must equal
 the whole campaign's row exactly.
+
+The module also holds the slow, obvious references that fast paths are
+compared against: unpruned campaign replay, the generic handler table,
+and a dense instruction-by-instruction segmentation walk.
 """
 
 import functools
@@ -16,10 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.checker import CheckerCore
+from repro.core.counter import CutReason, Segment, SegmentBuilder
+from repro.core.lsl import records_from_columns
 from repro.core.rcu import RegisterCheckpointUnit
 from repro.core.system import CheckMode, ParaVerserConfig, ParaVerserSystem
 from repro.cpu.config import CoreInstance
-from repro.cpu.functional import FunctionalCore
+from repro.cpu.functional import DirectMemoryPort, FunctionalCore
 from repro.cpu.presets import A510, X2
 from repro.faults.campaign import (
     GoldenStream,
@@ -47,6 +53,7 @@ from repro.faults.scenarios import (
     make_campaign,
 )
 from repro.isa.instructions import FUKind
+from repro.mem.memory import Memory
 from repro.router.service import RUNTIME_ROW_KEYS, merge_campaign_rows
 from repro.workloads.generator import build_program
 from repro.workloads.profiles import ALL_PROFILES, get_profile
@@ -442,3 +449,97 @@ class _NullPort:
         return 0
 
     store = swap = bulk_copy = load
+
+
+# -- segmentation: sparse cuts vs a dense walk --------------------------------
+#
+# ``SegmentBuilder.split`` visits only record-bearing instructions and
+# computes the interrupt and timeout cuts between them arithmetically.
+# The reference below walks every committed instruction and applies the
+# counter's rules (Sec. IV-F) one instruction at a time.
+
+
+def dense_split(builder, columns, forced_boundaries=None):
+    """Segment ``columns`` instruction by instruction (the reference)."""
+    records_at = {r.trace_index: r for r in records_from_columns(columns)}
+    forced = forced_boundaries or set()
+    line = builder.line_bytes
+    n = len(columns)
+    segments = []
+    state = {"records": [], "start": 0, "lines": 0, "buf": 0}
+
+    def cut(end, reason):
+        lines = state["lines"] + (1 if state["buf"] else 0)
+        segments.append(Segment(
+            index=len(segments), start=state["start"], end=end,
+            records=state["records"], lsl_bytes=lines * line, lines=lines,
+            reason=reason))
+        state.update(records=[], start=end, lines=0, buf=0)
+
+    def pack(lines, buf, entry):
+        # An entry that does not fit the current line starts a new one.
+        if buf + entry > line:
+            if buf:
+                lines += 1
+            lines += entry // line
+            buf = entry % line
+        else:
+            buf += entry
+        if buf == line:
+            lines += 1
+            buf = 0
+        return lines, buf
+
+    for i in range(n):
+        record = records_at.get(i)
+        entry = record.entry_bytes(builder.hash_mode) if record else 0
+        if entry:
+            lines, buf = pack(state["lines"], state["buf"], entry)
+            if (lines * line + buf > builder.capacity
+                    and (state["records"] or state["buf"])):
+                cut(i, CutReason.LSL_FULL)
+                lines, buf = pack(0, 0, entry)
+            state["lines"], state["buf"] = lines, buf
+        if record is not None:
+            state["records"].append(record)
+        if i + 1 in forced and i + 1 < n:
+            cut(i + 1, CutReason.INTERRUPT)
+        elif i + 1 - state["start"] >= builder.timeout:
+            cut(i + 1, CutReason.TIMEOUT)
+    if state["start"] < n:
+        cut(n, CutReason.PROGRAM_END)
+    return segments
+
+
+def assert_same_cuts(sparse, dense):
+    assert len(sparse) == len(dense)
+    for a, b in zip(sparse, dense):
+        assert (a.index, a.start, a.end, a.reason, a.lsl_bytes, a.lines) \
+            == (b.index, b.start, b.end, b.reason, b.lsl_bytes, b.lines)
+        assert a.records == b.records
+
+
+@functools.lru_cache(maxsize=None)
+def _main_columns(profile):
+    program = build_program(get_profile(profile), seed=SEED)
+    return FunctionalCore(program, DirectMemoryPort(
+        Memory(program.memory_image))).run(3_000).columns
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("x264", "mcf", "lbm")),
+       st.integers(min_value=128, max_value=65_536),
+       st.integers(min_value=1, max_value=1200),
+       st.sets(st.integers(min_value=0, max_value=3_100), max_size=12),
+       st.sets(st.integers(min_value=1, max_value=8), max_size=4),
+       st.booleans())
+def test_sparse_split_equals_dense_walk(profile, capacity, timeout, forced,
+                                       multiples, hash_mode):
+    columns = _main_columns(profile)
+    # Interrupts on timeout multiples land where a timeout cut is due
+    # (while no LSL-full cut has shifted the segments): the interrupt
+    # must win the tie.
+    forced |= {m * timeout for m in multiples}
+    builder = SegmentBuilder(capacity, timeout, hash_mode=hash_mode)
+    assert_same_cuts(builder.split(columns, forced),
+                     dense_split(builder, columns, forced))

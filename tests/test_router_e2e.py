@@ -5,11 +5,16 @@ acceptance properties from the issue are checked directly: routed
 results are bit-identical to a single backend answering the same
 request, for evals and campaigns, including when one backend is
 SIGKILLed mid-campaign (the chaos leg — its windows re-dispatch and
-the merged row must not change).
+the merged row must not change).  Single-shard tests at the end check,
+through Linux ``/proc``, that no forked pool worker outlives its shard,
+whether the shard is stopped with SIGTERM or killed with SIGKILL.
 """
 
 import asyncio
+import os
+import signal
 import threading
+import time
 
 import pytest
 
@@ -199,3 +204,84 @@ class TestChaos:
         assert response.status == STATUS_OK
         shard_stats = stats["router"]["shards"]
         assert sum(s["healthy"] for s in shard_stats.values()) == 2
+
+
+def _live_children(pid):
+    """Pids whose parent is ``pid`` and that are not zombies (Linux)."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                stat = handle.read()
+        except OSError:
+            continue
+        # Fields after the parenthesised command: state, ppid, ...
+        state, ppid = stat.rsplit(")", 1)[1].split()[:2]
+        if int(ppid) == pid and state != "Z":
+            children.append(int(entry))
+    return children
+
+
+def _alive(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+def _wait_gone(pids, timeout_s=10.0):
+    deadline = time.monotonic() + timeout_s
+    while any(map(_alive, pids)) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    return [pid for pid in pids if _alive(pid)]
+
+
+@pytest.fixture()
+def one_shard():
+    """One spawned shard that has run an eval, and its pool workers."""
+    manager = BackendManager()
+    (backend,) = manager.spawn_local(1, workers=1)
+    try:
+        with EvalClient(backend.host, backend.port) as client:
+            assert client.evaluate(_eval_req()).status == STATUS_OK
+        workers = _live_children(backend.process.pid)
+        assert workers, "the eval ran without a pool worker"
+        yield manager, backend, workers
+    finally:
+        manager.stop_processes()
+
+
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc"),
+                                reason="needs Linux /proc")
+
+
+@needs_proc
+def test_sigterm_stops_the_shard_pool(one_shard):
+    """``stop_processes`` sends SIGTERM; the shard must leave through its
+    graceful path, so its forked pool workers exit with it."""
+    manager, _, workers = one_shard
+    manager.stop_processes()
+    assert _wait_gone(workers) == []
+
+
+@needs_proc
+def test_sigkilled_shard_leaves_no_pool_worker(one_shard):
+    _, backend, workers = one_shard
+    backend.process.kill()
+    backend.process.wait()
+    assert _wait_gone(workers) == []
+
+
+@needs_proc
+def test_sigterm_to_a_pool_worker_spares_the_shard(one_shard):
+    """A worker must not inherit the server's SIGTERM routing: the signal
+    stops that worker only, and the shard serves on a fresh pool."""
+    _, backend, workers = one_shard
+    os.kill(workers[0], signal.SIGTERM)
+    assert _wait_gone(workers) == []
+    assert backend.process.poll() is None
+    with EvalClient(backend.host, backend.port) as client:
+        assert client.evaluate(_eval_req(seed=SEED + 1)).status == STATUS_OK

@@ -158,8 +158,8 @@ class TestGenerator:
         memory = Memory(program.memory_image)
         run = FunctionalCore(program, DirectMemoryPort(memory)).run(20_000)
         shared_accesses = [
-            e for e in run.trace
-            if e.addr >= SHARED_BASE and e.addr < SHARED_BASE + 0x10000
+            row for row in run.columns.mem_rows
+            if row[1] >= SHARED_BASE and row[1] < SHARED_BASE + 0x10000
         ]
         assert shared_accesses
 
@@ -168,7 +168,8 @@ class TestGenerator:
         program = build_thread_program(profile, seed=1, tid=0)
         memory = Memory(program.memory_image)
         run = FunctionalCore(program, DirectMemoryPort(memory)).run(20_000)
-        nonrep = [e for e in run.trace if e.instr.spec.is_nonrepeatable]
+        nonrep = [pc for pc in run.columns.pcs
+                  if program.instructions[pc].spec.is_nonrepeatable]
         assert nonrep
 
 
