@@ -1168,14 +1168,41 @@ def cmd_figures(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cancel_on_sigterm() -> None:
-    """Route SIGTERM into the running task's cancellation, so a
-    terminated server leaves through its ``finally`` clean-up."""
+def _run_front_door(name: str, service, stats_json: str | None, *,
+                    banner: str = "", prepare=None) -> None:
+    """Run ``serve`` or ``route`` until SIGTERM or Ctrl-C.
+
+    SIGTERM is routed into the running task's cancellation, so a
+    terminated server leaves through the same graceful ``stop()`` as
+    Ctrl-C.  ``prepare`` (a coroutine function) runs before the bind.
+    The ``listening on HOST:PORT`` banner is what
+    :class:`~repro.router.backends.BackendManager` parses off a spawned
+    shard's stdout.
+    """
     import asyncio
     import signal
 
-    asyncio.get_running_loop().add_signal_handler(
-        signal.SIGTERM, asyncio.current_task().cancel)
+    async def _main() -> None:
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, asyncio.current_task().cancel)
+        try:
+            if prepare is not None:
+                await prepare()
+            host, port = await service.start()
+            print(f"paraverser {name}: listening on {host}:{port}{banner}",
+                  flush=True)
+            await service.serve_forever()
+        except (asyncio.CancelledError, KeyboardInterrupt):
+            pass
+        finally:
+            await service.stop()
+            if stats_json:
+                _write_stats_json(service.stats_root, stats_json)
+
+    try:
+        asyncio.run(_main())
+    except KeyboardInterrupt:
+        pass
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -1184,47 +1211,28 @@ def cmd_serve(args: argparse.Namespace) -> int:
     SIGTERM, like Ctrl-C, stops it gracefully: stop accepting, shed the
     queue, let in-flight batches finish, shut the worker pool down.
     """
-    import asyncio
-
     from repro.serve.service import EvalService
     from repro.serve.workers import WorkerPool
 
-    async def _serve() -> None:
-        _cancel_on_sigterm()
-        pool = WorkerPool(workers=args.workers, trace_dir=args.trace_cache)
-        service = EvalService(
-            pool,
-            host=args.host,
-            port=args.port,
-            queue_depth=args.queue_depth,
-            batch_window_s=args.batch_window_ms / 1e3,
-            default_timeout_s=args.timeout,
-            epoch_s=args.epoch_s,
-            telemetry_jsonl=args.telemetry_jsonl,
-        )
-        try:
-            if args.prime:
-                workloads = [w.strip() for w in args.prime.split(",")
-                             if w.strip()]
-                primed = await pool.prime(workloads, args.instructions,
-                                          args.seed)
-                print(f"primed traces:     {', '.join(primed)}",
-                      flush=True)
-            host, port = await service.start()
-            print(f"paraverser serve: listening on {host}:{port}",
-                  flush=True)
-            await service.serve_forever()
-        except (asyncio.CancelledError, KeyboardInterrupt):
-            pass
-        finally:
-            await service.stop()
-            if args.stats_json:
-                _write_stats_json(service.stats_root, args.stats_json)
+    pool = WorkerPool(workers=args.workers, trace_dir=args.trace_cache)
+    service = EvalService(
+        pool,
+        host=args.host,
+        port=args.port,
+        queue_depth=args.queue_depth,
+        batch_window_s=args.batch_window_ms / 1e3,
+        default_timeout_s=args.timeout,
+        epoch_s=args.epoch_s,
+        telemetry_jsonl=args.telemetry_jsonl,
+    )
 
-    try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:
-        pass
+    async def _prime() -> None:
+        workloads = [w.strip() for w in args.prime.split(",") if w.strip()]
+        primed = await pool.prime(workloads, args.instructions, args.seed)
+        print(f"primed traces:     {', '.join(primed)}", flush=True)
+
+    _run_front_door("serve", service, args.stats_json,
+                    prepare=_prime if args.prime else None)
     return 0
 
 
@@ -1234,8 +1242,6 @@ def cmd_route(args: argparse.Namespace) -> int:
     SIGTERM, like Ctrl-C, stops the router gracefully and then stops
     every shard it spawned (each drains and shuts its own pool down).
     """
-    import asyncio
-
     from repro.envutil import parse_float, parse_int
     from repro.router import BackendManager, RouterService, \
         parse_backend_address
@@ -1283,31 +1289,16 @@ def cmd_route(args: argparse.Namespace) -> int:
               f"{', '.join(f'{b.name}={b.address}' for b in spawned)}",
               flush=True)
 
-    async def _route() -> None:
-        _cancel_on_sigterm()
-        service = RouterService(
-            manager,
-            host=args.host,
-            port=args.port,
-            replicas=replicas,
-            health_interval_s=health_interval,
-        )
-        host, port = await service.start()
-        print(f"paraverser route: listening on {host}:{port} "
-              f"({len(manager)} shards)", flush=True)
-        try:
-            await service.serve_forever()
-        except (asyncio.CancelledError, KeyboardInterrupt):
-            pass
-        finally:
-            await service.stop()
-            if args.stats_json:
-                _write_stats_json(service.stats_root, args.stats_json)
-
+    service = RouterService(
+        manager,
+        host=args.host,
+        port=args.port,
+        replicas=replicas,
+        health_interval_s=health_interval,
+    )
     try:
-        asyncio.run(_route())
-    except KeyboardInterrupt:
-        pass
+        _run_front_door("route", service, args.stats_json,
+                        banner=f" ({len(manager)} shards)")
     finally:
         manager.stop_processes()
     return 0

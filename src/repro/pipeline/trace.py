@@ -4,6 +4,9 @@ Runs the workload on the main core to produce the commit trace, splits
 the trace into checkpointed segments (LSL-capacity / timeout / forced
 boundaries), captures the RCU's boundary register checkpoints by a
 genuine second execution pass, and digests segments in Hash Mode.
+The second pass reads every non-repeatable value (random, timer and
+system-register reads, store-conditional outcomes) from the run's own
+log, as the checker cores do, never from a fresh source.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from repro.core.checker import LogReplayInterface
 from repro.core.counter import Segment, SegmentBuilder
 from repro.core.hashmode import digest_segment
 from repro.core.lsc import LoadStoreComparator
-from repro.core.simconfig import ParaVerserConfig
 from repro.cpu.functional import (
     DirectMemoryPort,
     FunctionalCore,
@@ -52,7 +54,7 @@ def segment_trace(
         hash_mode=config.hash_mode,
     )
     segments = builder.split(run.columns, forced_boundaries)
-    fill_checkpoints(config, run, segments, boundary_checkpoints)
+    fill_checkpoints(run, segments, boundary_checkpoints)
     if config.hash_mode:
         for seg in segments:
             seg.digest = digest_segment(seg.records)
@@ -60,15 +62,16 @@ def segment_trace(
 
 
 def fill_checkpoints(
-    config: ParaVerserConfig,
     run: RunResult,
     segments: list[Segment],
     known: dict[int, RegisterCheckpoint] | None = None,
 ) -> None:
     """Capture the RCU's boundary register checkpoints.
 
-    For single-threaded runs this is a second (deterministic) execution
-    pass of the main core.  For multicore traces, quantum-boundary
+    For single-threaded runs this is a second execution pass of the
+    main core that draws its non-repeatable values from the run's log
+    (:class:`LoggedNonRep`), so the checkpoints are the logged run's
+    whatever seed produced it.  For multicore traces, quantum-boundary
     checkpoints captured during the original run are used where they
     align (``known``), and the remainder are derived by healthy log
     replay, which is exact by construction.
@@ -79,12 +82,10 @@ def fill_checkpoints(
     rerun_core: FunctionalCore | None = None
     if not known:
         memory = Memory(run.program.memory_image)
-        rerun_core = FunctionalCore(
-            run.program,
-            DirectMemoryPort(memory),
-            nonrep=MainNonRepSource(seed=config.seed,
-                                    core_id=config.main_id),
-        )
+        logged = LoggedNonRep(run)
+        rerun_core = FunctionalCore(run.program, DirectMemoryPort(memory),
+                                    nonrep=logged)
+        logged.core = rerun_core
     previous = run.start_checkpoint
     for seg in segments:
         seg.start_checkpoint = previous
@@ -97,10 +98,58 @@ def fill_checkpoints(
                     "checkpoint pass diverged from the first run: "
                     f"{chunk.instructions} != {seg.instructions}"
                 )
+            logged.check_drained(seg.end)
             seg.end_checkpoint = chunk.end_checkpoint
         else:
             seg.end_checkpoint = derive_end_checkpoint(run.program, seg)
         previous = seg.end_checkpoint
+
+
+class LoggedNonRep:
+    """The checkpoint pass's non-repeatable source: the run's own log.
+
+    Values come from the ``nonrep`` field of the memory plane in trace
+    order.  A draw at a trace index the run did not log a value for,
+    or a segment end reached with logged values left undrawn, raises
+    with the trace index instead of yielding a wrong checkpoint.
+    """
+
+    def __init__(self, run: RunResult) -> None:
+        self._log = [(row[0], row[7]) for row in run.columns.mem_rows
+                     if row[7] is not None]
+        self._next = 0
+        #: The re-executing core; its commit count is the trace index.
+        self.core: FunctionalCore | None = None
+
+    def _draw(self) -> int:
+        at = self.core.committed
+        if self._next >= len(self._log) or self._log[self._next][0] != at:
+            raise RuntimeError(
+                "checkpoint pass drew a non-repeatable value at "
+                f"trace[{at}] that the run did not log")
+        value = self._log[self._next][1]
+        self._next += 1
+        return value
+
+    def rdrand(self) -> int:
+        return self._draw()
+
+    def rdtime(self, committed: int) -> int:
+        del committed
+        return self._draw()
+
+    def sysrd(self) -> int:
+        return self._draw()
+
+    def sc_success(self) -> int:
+        return self._draw()
+
+    def check_drained(self, end: int) -> None:
+        """Raise if a value logged before trace index ``end`` is undrawn."""
+        if self._next < len(self._log) and self._log[self._next][0] < end:
+            raise RuntimeError(
+                "checkpoint pass left the non-repeatable value logged at "
+                f"trace[{self._log[self._next][0]}] undrawn")
 
 
 def derive_end_checkpoint(program: Program,

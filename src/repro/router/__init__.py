@@ -9,8 +9,6 @@ health-checked failover re-dispatch and exact campaign fan-out.  See
 
 from repro.router.backends import (
     Backend,
-    BackendDown,
-    BackendLink,
     BackendManager,
     parse_backend_address,
 )
@@ -23,8 +21,6 @@ from repro.router.service import (
 
 __all__ = [
     "Backend",
-    "BackendDown",
-    "BackendLink",
     "BackendManager",
     "DEFAULT_REPLICAS",
     "HashRing",

@@ -3,19 +3,16 @@
 A :class:`Backend` is one serve process the router dispatches to —
 either spawned here as a local ``paraverser serve`` subprocess
 (``--port 0``, the bound port parsed off its stdout) or adopted from a
-``host:port`` address.  Each carries a :class:`BackendLink`, a
-multiplexing newline-JSON connection that — unlike the plain
-:class:`~repro.serve.client.AsyncEvalClient` — *fails* every in-flight
-waiter when it is closed or lost, which is exactly what the router's
-failover path needs: marking a shard down closes its link, the pending
-forwards raise, and the dispatch loop re-sends them to the next ring
-replica.
+``host:port`` address.  Each carries a link: an
+:class:`~repro.serve.client.AsyncEvalClient`, the multiplexed
+newline-JSON client, which fails every in-flight waiter with
+:class:`~repro.serve.client.BackendDown` when the connection is closed
+or lost.  Marking a shard down closes its link, the pending forwards
+raise, and the dispatch loop re-sends them to the next ring replica.
 """
 
 from __future__ import annotations
 
-import asyncio
-import itertools
 import re
 import subprocess
 import sys
@@ -23,131 +20,13 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.serve import protocol
+from repro.serve.client import AsyncEvalClient
 
 #: How a spawned ``paraverser serve`` announces its bound address.
 _LISTEN_RE = re.compile(r"listening on ([\d.]+):(\d+)")
 
 #: Seconds to wait for one spawned backend to report its port.
 SPAWN_TIMEOUT_S = 60.0
-
-
-class BackendDown(ConnectionError):
-    """The backend's connection failed or was closed mid-request."""
-
-
-class BackendLink:
-    """One multiplexed connection to a backend, failover-friendly.
-
-    Requests are matched to responses by ``request_id`` (the caller
-    supplies unique ids).  On EOF, connection error, or :meth:`close`,
-    every outstanding waiter gets :class:`BackendDown` instead of
-    hanging — the router re-dispatches them elsewhere.
-    """
-
-    def __init__(self, host: str, port: int,
-                 connect_timeout_s: float = 5.0) -> None:
-        self.host = host
-        self.port = port
-        self.connect_timeout_s = connect_timeout_s
-        self._writer: asyncio.StreamWriter | None = None
-        self._read_task: asyncio.Task | None = None
-        self._connect_lock = asyncio.Lock()
-        self._waiters: dict[str, asyncio.Future] = {}
-
-    async def _connect(self) -> None:
-        # Serialised: concurrent first requests must share one connection,
-        # not each open their own and overwrite the other's reader.
-        async with self._connect_lock:
-            if self._writer is not None:
-                return
-            try:
-                reader, self._writer = await asyncio.wait_for(
-                    asyncio.open_connection(self.host, self.port,
-                                            limit=protocol.MAX_LINE_BYTES),
-                    timeout=self.connect_timeout_s)
-            except (OSError, asyncio.TimeoutError) as exc:
-                raise BackendDown(
-                    f"connect to {self.host}:{self.port} failed: {exc}"
-                ) from exc
-            self._read_task = asyncio.create_task(
-                self._read_loop(reader),
-                name=f"router-link-{self.host}:{self.port}")
-
-    async def _read_loop(self, reader: asyncio.StreamReader) -> None:
-        exc: Exception = BackendDown(
-            f"backend {self.host}:{self.port} closed the connection")
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                payload = protocol.decode_message(line)
-                waiter = self._waiters.pop(
-                    payload.get("request_id", ""), None)
-                if waiter is not None and not waiter.done():
-                    waiter.set_result(payload)
-        except (ConnectionResetError, BrokenPipeError, OSError,
-                protocol.ProtocolError) as caught:
-            exc = BackendDown(
-                f"backend {self.host}:{self.port} link error: {caught}")
-        except asyncio.CancelledError:
-            exc = BackendDown(
-                f"backend {self.host}:{self.port} link closed")
-        self._fail_waiters(exc)
-        # Reset so the next request() reconnects (and fails fast on a
-        # dead backend) rather than writing into a half-closed socket
-        # and waiting forever for a response that cannot come.
-        writer, self._writer = self._writer, None
-        if asyncio.current_task() is self._read_task:
-            self._read_task = None
-        if writer is not None:
-            writer.close()
-
-    def _fail_waiters(self, exc: Exception) -> None:
-        waiters, self._waiters = self._waiters, {}
-        for waiter in waiters.values():
-            if not waiter.done():
-                waiter.set_exception(exc)
-
-    async def request(self, payload: dict) -> dict:
-        """One round trip; raises :class:`BackendDown` on link failure."""
-        await self._connect()
-        assert self._writer is not None
-        request_id = payload["request_id"]
-        future = asyncio.get_running_loop().create_future()
-        self._waiters[request_id] = future
-        try:
-            self._writer.write(protocol.encode_message(payload))
-            await self._writer.drain()
-        except (ConnectionResetError, BrokenPipeError, OSError) as exc:
-            self._waiters.pop(request_id, None)
-            await self.close()
-            raise BackendDown(
-                f"send to {self.host}:{self.port} failed: {exc}") from exc
-        try:
-            return await future
-        finally:
-            self._waiters.pop(request_id, None)
-
-    async def close(self) -> None:
-        """Drop the connection; outstanding waiters raise BackendDown."""
-        task, self._read_task = self._read_task, None
-        writer, self._writer = self._writer, None
-        if task is not None:
-            task.cancel()
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
-        if writer is not None:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-        self._fail_waiters(BackendDown(
-            f"backend {self.host}:{self.port} link closed"))
 
 
 @dataclass
@@ -158,7 +37,7 @@ class Backend:
     host: str
     port: int
     process: subprocess.Popen | None = None
-    link: BackendLink = field(init=False)
+    link: AsyncEvalClient = field(init=False)
     healthy: bool = True
     #: Requests currently forwarded and awaiting a response.
     inflight: int = 0
@@ -169,7 +48,8 @@ class Backend:
     mark_downs: int = 0
 
     def __post_init__(self) -> None:
-        self.link = BackendLink(self.host, self.port)
+        # Forwards go out under router-side ids (``fwd<n>``).
+        self.link = AsyncEvalClient(self.host, self.port, id_prefix="fwd")
 
     @property
     def address(self) -> str:
@@ -307,13 +187,3 @@ class BackendManager:
             except subprocess.TimeoutExpired:
                 backend.process.kill()
                 backend.process.wait()
-
-
-# -- request-id supply for forwarded traffic ---------------------------------
-
-_FORWARD_IDS = itertools.count(1)
-
-
-def next_forward_id() -> str:
-    """Router-side request id for one forwarded wire message."""
-    return f"fwd{next(_FORWARD_IDS)}"

@@ -7,7 +7,7 @@ request's functional-trace identity so each shard's worker caches stay
 hot.  Three mechanisms make the scale-out invisible to results:
 
 * **Failover re-dispatch** — a forward that hits a dead or dying shard
-  raises :class:`~repro.router.backends.BackendDown`; the dispatch loop
+  raises :class:`~repro.serve.client.BackendDown`; the dispatch loop
   marks the shard down and re-sends to the next ring replica.  Because
   evaluations and campaign trials are pure functions of their spec,
   re-execution elsewhere is idempotent by construction.
@@ -22,6 +22,11 @@ hot.  Three mechanisms make the scale-out invisible to results:
   aggregate row bit-for-bit, whatever the shard count or failover
   history.
 
+The transport — framing, error envelopes, the admission name check,
+``ping`` and ``stats`` — is :class:`~repro.serve.service.LineServer`,
+shared with the evaluation service; the router adds ring dispatch and
+the ``ring`` op.
+
 Telemetry is published as a ``router.*`` group on the standard stats
 spine; wall-clock leaves live under ``router.runtime`` so regression
 gates can mask them, like ``pipeline.*`` and ``faults.runtime.*``.
@@ -35,16 +40,13 @@ import logging
 
 from repro.faults.engine import CampaignTally
 from repro.obs import StatGroup
-from repro.router.backends import Backend, BackendDown, BackendManager, \
-    next_forward_id
+from repro.router.backends import Backend, BackendManager
 from repro.router.ring import DEFAULT_REPLICAS, HashRing
 from repro.serve import protocol
-from repro.serve.protocol import (
-    CampaignRequest,
-    EvalResponse,
-    ProtocolError,
-    encode_message,
-)
+from repro.serve.client import AsyncEvalClient, BackendDown
+from repro.serve.protocol import CampaignRequest, EvalResponse, \
+    ProtocolError
+from repro.serve.service import LineServer
 
 log = logging.getLogger("repro.router")
 
@@ -83,8 +85,10 @@ def merge_campaign_rows(rows: list[dict]) -> dict:
     return merged
 
 
-class RouterService:
+class RouterService(LineServer):
     """Consistent-hash front end sharding requests across backends."""
+
+    ping_result = {"role": "router"}
 
     def __init__(self, manager: BackendManager, *,
                  host: str = "127.0.0.1", port: int = 0,
@@ -92,9 +96,9 @@ class RouterService:
                  health_interval_s: float = 2.0,
                  health_timeout_s: float | None = None,
                  stats: StatGroup | None = None) -> None:
+        super().__init__("router", "shard router telemetry",
+                         host=host, port=port, stats=stats)
         self.manager = manager
-        self.host = host
-        self.port = port
         self.ring = HashRing(manager.names, replicas=replicas)
         self.health_interval_s = health_interval_s
         if health_timeout_s:
@@ -105,9 +109,6 @@ class RouterService:
             # No periodic sweeps, but pings still gate last-resort
             # forwards to marked-down shards; keep a sane bound.
             self.health_timeout_s = 2.0
-        self.stats_root = stats if stats is not None else StatGroup("root")
-        self._stats = self.stats_root.group(
-            "router", "shard router telemetry")
         self._locality = self._stats.group(
             "locality", "primary-owner vs failover placement")
         self._campaign_stats = self._stats.group(
@@ -129,21 +130,17 @@ class RouterService:
         self._locality.counter("failover", "requests served by a replica")
         self._campaign_stats.counter(
             "trials_forwarded", "campaign trials fanned out")
-        self._server: asyncio.base_events.Server | None = None
+        self._line_latency = self._stats.group(
+            "runtime", "host wall-clock (non-deterministic)").histogram(
+            "latency_ms", "front-door request latency")
         self._health_task: asyncio.Task | None = None
         self._inflight: dict[str, asyncio.Task] = {}
-        self._running = False
 
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> tuple[str, int]:
         """Bind the front door and start the health loop."""
-        self._running = True
-        self._server = await asyncio.start_server(
-            self._handle_client, self.host, self.port,
-            limit=protocol.MAX_LINE_BYTES)
-        sockname = self._server.sockets[0].getsockname()
-        self.host, self.port = sockname[0], sockname[1]
+        await super().start()
         if self.health_interval_s > 0:
             self._health_task = asyncio.create_task(
                 self._health_loop(), name="router-health")
@@ -151,17 +148,9 @@ class RouterService:
                  self.host, self.port, len(self.manager))
         return self.host, self.port
 
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "start() first"
-        async with self._server:
-            await self._server.serve_forever()
-
     async def stop(self) -> None:
         """Stop accepting, settle in-flight forwards, drop the links."""
-        self._running = False
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        await super().stop()
         if self._health_task is not None:
             self._health_task.cancel()
             try:
@@ -173,7 +162,7 @@ class RouterService:
             await asyncio.gather(*self._inflight.values(),
                                  return_exceptions=True)
         await self.manager.close_links()
-        self._publish_shard_stats()
+        self._refresh_stats()
 
     # -- health ------------------------------------------------------------
 
@@ -192,32 +181,16 @@ class RouterService:
                 await self._mark_down(backend, "health check failed")
 
     async def _ping_backend(self, backend: Backend) -> bool:
-        """One short-lived ping connection, bounded by the health timeout."""
+        """One ping on a fresh client, bounded by the health timeout."""
+        client = AsyncEvalClient(backend.host, backend.port,
+                                 connect_timeout_s=self.health_timeout_s)
         try:
-            return await asyncio.wait_for(self._ping_once(backend),
+            return await asyncio.wait_for(client.ping(),
                                           timeout=self.health_timeout_s)
         except (OSError, asyncio.TimeoutError, ProtocolError):
             return False
-
-    @staticmethod
-    async def _ping_once(backend: Backend) -> bool:
-        reader, writer = await asyncio.open_connection(
-            backend.host, backend.port, limit=protocol.MAX_LINE_BYTES)
-        try:
-            writer.write(encode_message(
-                {"op": protocol.OP_PING, "request_id": "hc"}))
-            await writer.drain()
-            line = await reader.readline()
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-        if not line:
-            return False
-        return protocol.decode_message(line).get("status") \
-            == protocol.STATUS_OK
+            await client.close()
 
     async def _mark_down(self, backend: Backend, reason: str) -> None:
         backend.healthy = False
@@ -234,96 +207,20 @@ class RouterService:
         self._stats.counter("mark_ups").inc()
         log.info("router: shard %s marked up", backend.name)
 
-    # -- connection handling ------------------------------------------------
+    # -- ops ---------------------------------------------------------------
 
-    async def _handle_client(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
-        write_lock = asyncio.Lock()
-        in_flight: set[asyncio.Task] = set()
-        try:
-            while self._running:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    await self._write(writer, {
-                        "v": protocol.PROTOCOL_VERSION,
-                        "status": protocol.STATUS_ERROR,
-                        "request_id": "",
-                        "error": "oversized wire message",
-                    }, write_lock)
-                    break
-                if not line:
-                    break
-                task = asyncio.create_task(
-                    self._handle_line(line, writer, write_lock))
-                in_flight.add(task)
-                task.add_done_callback(in_flight.discard)
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        except asyncio.CancelledError:
-            pass
-        finally:
-            if in_flight:
-                await asyncio.gather(*in_flight, return_exceptions=True)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-
-    async def _handle_line(self, line: bytes, writer: asyncio.StreamWriter,
-                           write_lock: asyncio.Lock) -> None:
-        payload: dict | None = None
-        started = asyncio.get_running_loop().time()
-        try:
-            payload = protocol.decode_message(line)
-            self._stats.counter("requests_total").inc()
-            op = payload.get("op", protocol.OP_EVAL)
-            if op == protocol.OP_PING:
-                response = EvalResponse(
-                    protocol.STATUS_OK, payload.get("request_id", ""),
-                    result={"protocol": protocol.PROTOCOL_VERSION,
-                            "role": "router"})
-            elif op == protocol.OP_STATS:
-                self._publish_shard_stats()
-                response = EvalResponse(
-                    protocol.STATUS_OK, payload.get("request_id", ""),
-                    result=self.stats_root.to_dict())
-            elif op == protocol.OP_RING:
-                response = EvalResponse(
-                    protocol.STATUS_OK, payload.get("request_id", ""),
-                    result=self._ring_payload())
-            elif op == protocol.OP_EVAL:
-                self._stats.counter("evals").inc()
-                request = protocol.request_from_wire(payload)
-                response = await self._serve_shared(request)
-            elif op == protocol.OP_CAMPAIGN:
-                self._stats.counter("campaigns").inc()
-                request = protocol.campaign_from_wire(payload)
-                response = await self._serve_shared(request)
-            else:
-                raise ProtocolError(f"unknown op {op!r}")
-        except ProtocolError as exc:
-            self._stats.counter("protocol_errors").inc()
-            request_id = (payload.get("request_id", "")
-                          if isinstance(payload, dict) else "")
-            response = EvalResponse(protocol.STATUS_ERROR, request_id,
-                                    error=str(exc))
-        latency_ms = (asyncio.get_running_loop().time() - started) * 1e3
-        self._stats.group("runtime", "host wall-clock (non-deterministic)",
-                          ).histogram(
-            "latency_ms", "front-door request latency").record(latency_ms)
-        await self._write(writer, protocol.response_to_wire(response),
-                          write_lock)
-
-    async def _write(self, writer: asyncio.StreamWriter, payload: dict,
-                     write_lock: asyncio.Lock) -> None:
-        async with write_lock:
-            writer.write(encode_message(payload))
-            try:
-                await writer.drain()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+    async def _answer(self, payload: dict) -> EvalResponse:
+        self._stats.counter("requests_total").inc()
+        op = payload.get("op", protocol.OP_EVAL)
+        if op == protocol.OP_RING:
+            return EvalResponse(protocol.STATUS_OK,
+                                payload.get("request_id", ""),
+                                result=self._ring_payload())
+        if op in (protocol.OP_EVAL, protocol.OP_CAMPAIGN):
+            self._stats.counter(
+                "evals" if op == protocol.OP_EVAL else "campaigns").inc()
+            return await self._serve_shared(self._admit(payload))
+        return await super()._answer(payload)
 
     def _ring_payload(self) -> dict:
         """The ring description ``RouterClient`` builds its copy from."""
@@ -400,8 +297,7 @@ class RouterService:
             if forwards > 0:
                 self._stats.counter("re_dispatches").inc()
             forwards += 1
-            payload = to_wire(dataclasses.replace(
-                request, request_id=next_forward_id()))
+            payload = to_wire(dataclasses.replace(request, request_id=""))
             try:
                 answer = await self._forward(backend, payload)
             except BackendDown as exc:
@@ -485,7 +381,7 @@ class RouterService:
 
     # -- stats -------------------------------------------------------------
 
-    def _publish_shard_stats(self) -> None:
+    def _refresh_stats(self) -> None:
         shards = self._stats.group("shards", "per-shard dispatch state")
         for name in self.manager.names:
             backend = self.manager.backends[name]

@@ -12,14 +12,15 @@ queries against the simulator.  This package serves them:
   trace-sharing ones into single worker invocations;
 * :mod:`repro.serve.workers` — the process pool, reusing the sweep
   engine's per-process caches and ``REPRO_TRACE_CACHE``;
-* :mod:`repro.serve.service` — the asyncio TCP server;
+* :mod:`repro.serve.service` — the newline-JSON line server that this
+  service and the shard router share, and the evaluation service;
 * :mod:`repro.serve.client` — sync and async clients.
 
 ``paraverser serve`` runs the server; ``paraverser eval`` is the CLI
 client.
 """
 
-from repro.serve.client import AsyncEvalClient, EvalClient
+from repro.serve.client import AsyncEvalClient, BackendDown, EvalClient
 from repro.serve.protocol import (
     EvalRequest,
     EvalResponse,
@@ -29,15 +30,17 @@ from repro.serve.protocol import (
     STATUS_SHED,
     STATUS_TIMEOUT,
 )
-from repro.serve.service import EvalService
+from repro.serve.service import EvalService, LineServer
 from repro.serve.workers import WorkerPool
 
 __all__ = [
     "AsyncEvalClient",
+    "BackendDown",
     "EvalClient",
     "EvalRequest",
     "EvalResponse",
     "EvalService",
+    "LineServer",
     "ProtocolError",
     "STATUS_ERROR",
     "STATUS_OK",

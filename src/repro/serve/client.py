@@ -2,18 +2,18 @@
 
 The sync :class:`EvalClient` is a plain socket wrapper for scripts and
 the ``paraverser eval`` CLI; :class:`AsyncEvalClient` multiplexes many
-in-flight requests over one connection for asyncio callers (requests
-are matched to responses by ``request_id``).  :class:`RouterClient`
-discovers a shard router's consistent-hash ring (the ``ring`` op) and
-then talks straight to the owning backend per request — ring locality
-without the extra front-door hop — falling back along the ring's
-failover order when a shard is unreachable.
+in-flight requests over one connection for asyncio callers, matching
+responses to requests by ``request_id``; the shard router's links to
+its backends are instances of it too.  :class:`RouterClient` discovers
+a shard router's consistent-hash ring (the ``ring`` op) and then talks
+straight to the owning backend per request — ring locality without the
+extra front-door hop — falling back along the ring's failover order
+when a shard is unreachable.
 """
 
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import itertools
 import socket
 
@@ -124,42 +124,73 @@ class EvalClient:
         return response.ok
 
 
-class AsyncEvalClient:
-    """Asyncio client multiplexing pipelined requests by request_id."""
+class BackendDown(ConnectionError):
+    """The connection failed or was closed with a request outstanding."""
 
-    def __init__(self, host: str = DEFAULT_HOST,
-                 port: int = DEFAULT_PORT) -> None:
+
+class AsyncEvalClient:
+    """Asyncio client multiplexing pipelined requests over one connection.
+
+    Responses are matched to requests by ``request_id``; a request sent
+    without one gets ``<id_prefix><n>``.  Concurrent first requests
+    share one connect, bounded by ``connect_timeout_s``.  On EOF, a
+    connection error or :meth:`close`, every outstanding waiter raises
+    :class:`BackendDown` instead of hanging, and the next request
+    reconnects — which is what the shard router's failover needs:
+    marking a shard down closes its client, the pending forwards raise,
+    and the dispatch loop re-sends them to the next ring replica.
+    """
+
+    def __init__(self, host: str = DEFAULT_HOST, port: int = DEFAULT_PORT,
+                 connect_timeout_s: float = 5.0,
+                 id_prefix: str = "r") -> None:
         self.host = host
         self.port = port
-        self._reader: asyncio.StreamReader | None = None
+        self.connect_timeout_s = connect_timeout_s
         self._writer: asyncio.StreamWriter | None = None
-        self._waiters: dict[str, asyncio.Future] = {}
-        self._ids = itertools.count(1)
         self._read_task: asyncio.Task | None = None
+        self._connect_lock = asyncio.Lock()
+        self._waiters: dict[str, asyncio.Future] = {}
+        self._ids = (f"{id_prefix}{n}" for n in itertools.count(1))
 
     async def connect(self) -> "AsyncEvalClient":
-        if self._writer is None:
-            self._reader, self._writer = await asyncio.open_connection(
-                self.host, self.port, limit=protocol.MAX_LINE_BYTES)
-            self._read_task = asyncio.create_task(self._read_loop())
+        # Serialised: concurrent first requests must share one
+        # connection, not each open their own and replace the reader.
+        async with self._connect_lock:
+            if self._writer is not None:
+                return self
+            try:
+                reader, self._writer = await asyncio.wait_for(
+                    asyncio.open_connection(self.host, self.port,
+                                            limit=protocol.MAX_LINE_BYTES),
+                    timeout=self.connect_timeout_s)
+            except (OSError, asyncio.TimeoutError) as exc:
+                raise BackendDown(
+                    f"connect to {self.host}:{self.port} failed: {exc}"
+                ) from exc
+            self._read_task = asyncio.create_task(
+                self._read_loop(reader),
+                name=f"client-{self.host}:{self.port}")
         return self
 
     async def close(self) -> None:
-        if self._read_task is not None:
-            self._read_task.cancel()
+        """Drop the connection; outstanding waiters raise BackendDown."""
+        task, self._read_task = self._read_task, None
+        writer, self._writer = self._writer, None
+        if task is not None:
+            task.cancel()
             try:
-                await self._read_task
+                await task
             except asyncio.CancelledError:
                 pass
-            self._read_task = None
-        if self._writer is not None:
-            self._writer.close()
+        if writer is not None:
+            writer.close()
             try:
-                await self._writer.wait_closed()
+                await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
-            self._writer = None
-            self._reader = None
+        self._fail_waiters(BackendDown(
+            f"connection to {self.host}:{self.port} closed"))
 
     async def __aenter__(self) -> "AsyncEvalClient":
         return await self.connect()
@@ -167,11 +198,12 @@ class AsyncEvalClient:
     async def __aexit__(self, *exc) -> None:
         await self.close()
 
-    async def _read_loop(self) -> None:
-        assert self._reader is not None
+    async def _read_loop(self, reader: asyncio.StreamReader) -> None:
+        exc: Exception = BackendDown(
+            f"{self.host}:{self.port} closed the connection")
         try:
             while True:
-                line = await self._reader.readline()
+                line = await reader.readline()
                 if not line:
                     break
                 payload = protocol.decode_message(line)
@@ -179,54 +211,77 @@ class AsyncEvalClient:
                     payload.get("request_id", ""), None)
                 if waiter is not None and not waiter.done():
                     waiter.set_result(payload)
-        except (ConnectionResetError, BrokenPipeError, ProtocolError) as exc:
-            self._fail_waiters(exc)
-            return
-        self._fail_waiters(ConnectionError("server closed the connection"))
+        except (OSError, ValueError) as caught:
+            # ValueError: a garbage line (ProtocolError) or one longer
+            # than the stream limit.
+            exc = BackendDown(
+                f"connection to {self.host}:{self.port} failed: {caught}")
+        except asyncio.CancelledError:
+            exc = BackendDown(
+                f"connection to {self.host}:{self.port} closed")
+        self._fail_waiters(exc)
+        # Reset so the next request reconnects (and fails fast on a
+        # dead server) rather than writing into a half-closed socket
+        # and waiting forever for a response that cannot come.
+        writer, self._writer = self._writer, None
+        if asyncio.current_task() is self._read_task:
+            self._read_task = None
+        if writer is not None:
+            writer.close()
 
     def _fail_waiters(self, exc: Exception) -> None:
-        for waiter in self._waiters.values():
+        waiters, self._waiters = self._waiters, {}
+        for waiter in waiters.values():
             if not waiter.done():
                 waiter.set_exception(exc)
-        self._waiters.clear()
 
-    async def _send(self, payload: dict) -> dict:
+    async def request(self, payload: dict) -> dict:
+        """One raw round trip; raises :class:`BackendDown` on link loss."""
+        if not payload.get("request_id"):
+            payload = {**payload, "request_id": next(self._ids)}
         await self.connect()
         assert self._writer is not None
         request_id = payload["request_id"]
         future = asyncio.get_running_loop().create_future()
         self._waiters[request_id] = future
-        self._writer.write(protocol.encode_message(payload))
-        await self._writer.drain()
-        return await future
+        try:
+            self._writer.write(protocol.encode_message(payload))
+            await self._writer.drain()
+        except OSError as exc:
+            self._waiters.pop(request_id, None)
+            await self.close()
+            raise BackendDown(
+                f"send to {self.host}:{self.port} failed: {exc}") from exc
+        try:
+            return await future
+        finally:
+            self._waiters.pop(request_id, None)
 
     async def evaluate(self, request: EvalRequest) -> EvalResponse:
         request.validate()
-        if not request.request_id:
-            request = dataclasses.replace(
-                request, request_id=f"r{next(self._ids)}")
         return protocol.response_from_wire(
-            await self._send(protocol.request_to_wire(request)))
+            await self.request(protocol.request_to_wire(request)))
 
     async def campaign(self, request: CampaignRequest) -> EvalResponse:
         request.validate()
-        if not request.request_id:
-            request = dataclasses.replace(
-                request, request_id=f"r{next(self._ids)}")
         return protocol.response_from_wire(
-            await self._send(protocol.campaign_to_wire(request)))
+            await self.request(protocol.campaign_to_wire(request)))
 
     async def stats(self, since: int | None = None) -> dict:
         """Stats tree, or epoch view with ``since`` (see
         :meth:`EvalClient.stats`)."""
-        payload: dict = {"op": protocol.OP_STATS,
-                         "request_id": f"r{next(self._ids)}"}
+        payload: dict = {"op": protocol.OP_STATS}
         if since is not None:
             payload["since"] = since
-        response = protocol.response_from_wire(await self._send(payload))
+        response = protocol.response_from_wire(await self.request(payload))
         if not response.ok or response.result is None:
             raise ProtocolError(f"stats query failed: {response.error}")
         return response.result
+
+    async def ping(self) -> bool:
+        """True when the server answers ``ping`` with ``ok``."""
+        return protocol.response_from_wire(
+            await self.request({"op": protocol.OP_PING})).ok
 
 
 class RouterClient:

@@ -1,4 +1,11 @@
-"""The asyncio evaluation service: TCP accept → queue → batch → pool.
+"""The newline-JSON front door and the evaluation service behind it.
+
+:class:`LineServer` is the transport both front doors share — this
+service and the shard router (:mod:`repro.router.service`): the bind
+and lifecycle, per-connection pipelining, the error envelopes for
+oversized and malformed lines, the admission name check and the
+``ping`` and ``stats`` ops.  :class:`EvalService` adds the eval and
+campaign ops on top: TCP accept → queue → batch → pool.
 
 One dispatcher coroutine pulls admitted requests off the
 :class:`~repro.serve.queue.AdmissionQueue`, collapses them with
@@ -24,10 +31,11 @@ import asyncio
 import logging
 from pathlib import Path
 
-from repro.obs import StatGroup, TelemetryBus
+from repro.obs import Histogram, StatGroup, TelemetryBus
 from repro.serve import protocol
 from repro.serve.batcher import Batch, plan_batches
 from repro.serve.protocol import (
+    CampaignRequest,
     EvalRequest,
     EvalResponse,
     ProtocolError,
@@ -39,58 +47,51 @@ from repro.serve.workers import RETRYABLE_POOL_ERRORS, ROW_ERROR, WorkerPool
 log = logging.getLogger("repro.serve")
 
 
-class EvalService:
-    """Batched evaluation server over the detection-backend registry."""
+class LineServer:
+    """Newline-JSON TCP server: framing, error envelopes, ping and stats.
 
-    def __init__(self, pool: WorkerPool, *,
-                 host: str = "127.0.0.1", port: int = 0,
-                 queue_depth: int = 64,
-                 batch_window_s: float = 0.01,
-                 default_timeout_s: float | None = None,
-                 max_retries: int = 2,
-                 retry_backoff_s: float = 0.25,
+    Requests on one connection are served concurrently (pipelining);
+    responses carry the request's ``request_id`` and writes are
+    serialised by a per-connection lock.  A line longer than
+    :data:`~repro.serve.protocol.MAX_LINE_BYTES` gets an error envelope
+    and closes the connection; any other malformed line gets an error
+    response and the connection keeps serving.  Both count under
+    ``<group>.protocol_errors``.
+
+    Subclasses answer their own ops by overriding :meth:`_answer` and
+    deferring to it for the rest; :meth:`_refresh_stats` brings
+    computed leaves up to date before a ``stats`` answer.
+    """
+
+    #: Extra ``ping`` result keys identifying the server.
+    ping_result: dict = {}
+
+    def __init__(self, group: str, description: str, *,
+                 host: str, port: int,
                  stats: StatGroup | None = None,
-                 telemetry: TelemetryBus | None = None,
-                 epoch_s: float = 0.0,
-                 telemetry_jsonl: str | Path | None = None) -> None:
-        self.pool = pool
+                 telemetry: TelemetryBus | None = None) -> None:
         self.host = host
         self.port = port
-        self.batch_window_s = batch_window_s
-        self.max_retries = max_retries
-        self.retry_backoff_s = retry_backoff_s
-        self.queue = AdmissionQueue(depth=queue_depth,
-                                    default_timeout_s=default_timeout_s)
         self.stats_root = stats if stats is not None else StatGroup("root")
-        self._stats = self.stats_root.group(
-            "serve", "evaluation service telemetry")
+        self._group = group
+        self._stats = self.stats_root.group(group, description)
         self.telemetry = telemetry if telemetry is not None \
             else TelemetryBus()
-        self.epoch_s = epoch_s
-        if telemetry_jsonl is not None:
-            self.telemetry.attach_jsonl(telemetry_jsonl)
+        #: When set, every line's handling time is recorded here.
+        self._line_latency: Histogram | None = None
         self._server: asyncio.base_events.Server | None = None
-        self._dispatcher: asyncio.Task | None = None
-        self._publisher: asyncio.Task | None = None
-        self._batch_tasks: set[asyncio.Task] = set()
         self._running = False
 
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> tuple[str, int]:
-        """Bind, start accepting and dispatching; returns (host, port)."""
+        """Bind and start accepting; returns (host, port)."""
         self._running = True
         self._server = await asyncio.start_server(
             self._handle_client, self.host, self.port,
             limit=protocol.MAX_LINE_BYTES)
         sockname = self._server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
-        self._dispatcher = asyncio.create_task(self._dispatch_loop(),
-                                               name="serve-dispatch")
-        if self.epoch_s > 0:
-            self._publisher = asyncio.create_task(
-                self._publish_loop(), name="serve-telemetry")
-        log.info("serve: listening on %s:%d", self.host, self.port)
         return self.host, self.port
 
     async def serve_forever(self) -> None:
@@ -99,44 +100,16 @@ class EvalService:
             await self._server.serve_forever()
 
     async def stop(self) -> None:
-        """Graceful shutdown: stop accepting, drain, shut the pool down."""
+        """Stop accepting; subclasses then settle their own work."""
         self._running = False
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        if self._dispatcher is not None:
-            self._dispatcher.cancel()
-            try:
-                await self._dispatcher
-            except asyncio.CancelledError:
-                pass
-        if self._publisher is not None:
-            self._publisher.cancel()
-            try:
-                await self._publisher
-            except asyncio.CancelledError:
-                pass
-        # Whatever was admitted but never dispatched is shed; batches
-        # already in flight run to completion (pool drain).
-        self.queue.drain(
-            lambda request: protocol.shed_response(request,
-                                                   self.queue.depth))
-        if self._batch_tasks:
-            await asyncio.gather(*self._batch_tasks, return_exceptions=True)
-        self.pool.shutdown(wait=True)
-        self._publish_queue_stats()
-        if self.epoch_s > 0:
-            # Final epoch so the stream's last line is the shutdown tree.
-            self.telemetry.publish(self.stats_root, label="serve")
-        self.telemetry.close()
 
     # -- connection handling ----------------------------------------------
 
     async def _handle_client(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
-        # Requests on one connection are served concurrently (pipelining);
-        # responses carry request_ids, and writes are serialised by a
-        # per-connection lock.
         write_lock = asyncio.Lock()
         in_flight: set[asyncio.Task] = set()
         try:
@@ -144,12 +117,11 @@ class EvalService:
                 try:
                     line = await reader.readline()
                 except (asyncio.LimitOverrunError, ValueError):
-                    await self._write(writer, {
-                        "v": protocol.PROTOCOL_VERSION,
-                        "status": protocol.STATUS_ERROR,
-                        "request_id": "",
-                        "error": "oversized wire message",
-                    }, write_lock)
+                    self._protocol_error()
+                    await self._write(writer, protocol.response_to_wire(
+                        EvalResponse(protocol.STATUS_ERROR,
+                                     error="oversized wire message")),
+                        write_lock)
                     break
                 if not line:
                     break
@@ -174,49 +146,66 @@ class EvalService:
 
     async def _handle_line(self, line: bytes, writer: asyncio.StreamWriter,
                            write_lock: asyncio.Lock) -> None:
-        payload: dict | None = None
+        loop = asyncio.get_running_loop()
+        started = loop.time()
+        request_id = ""
         try:
             payload = protocol.decode_message(line)
-            op = payload.get("op", protocol.OP_EVAL)
-            if op == protocol.OP_PING:
-                response = EvalResponse(
-                    protocol.STATUS_OK,
-                    payload.get("request_id", ""),
-                    result={"protocol": protocol.PROTOCOL_VERSION})
-            elif op == protocol.OP_STATS:
-                self._publish_queue_stats()
-                response = EvalResponse(
-                    protocol.STATUS_OK,
-                    payload.get("request_id", ""),
-                    result=self._stats_result(payload.get("since")))
-            elif op == protocol.OP_EVAL:
-                request = protocol.request_from_wire(payload)
-                self._validate_names(request)
-                response = await self._serve_eval(request)
-            elif op == protocol.OP_CAMPAIGN:
-                # Campaigns ride the same queue/batch/dispatch path as
-                # evals; the request type only changes the worker spec.
-                request = protocol.campaign_from_wire(payload)
-                self._validate_names(request)
-                response = await self._serve_eval(request)
-            else:
-                raise ProtocolError(f"unknown op {op!r}")
+            if not isinstance(payload.get("request_id", ""), str):
+                raise ProtocolError("request_id must be a string")
+            request_id = payload.get("request_id", "")
+            response = await self._answer(payload)
         except ProtocolError as exc:
-            self._stats.counter(
-                "protocol_errors", "malformed wire messages").inc()
-            request_id = (payload.get("request_id", "")
-                          if isinstance(payload, dict) else "")
+            self._protocol_error()
             response = EvalResponse(protocol.STATUS_ERROR, request_id,
                                     error=str(exc))
+        if self._line_latency is not None:
+            self._line_latency.record((loop.time() - started) * 1e3)
         await self._write(writer, protocol.response_to_wire(response),
                           write_lock)
 
+    def _protocol_error(self) -> None:
+        self._stats.counter("protocol_errors",
+                            "malformed wire messages").inc()
+
     @staticmethod
-    def _validate_names(request: EvalRequest) -> None:
-        """Reject unknown workloads/backends at admission, not in a worker."""
+    async def _write(writer: asyncio.StreamWriter, payload: dict,
+                     write_lock: asyncio.Lock) -> None:
+        async with write_lock:
+            writer.write(encode_message(payload))
+            try:
+                await writer.drain()
+            except (ConnectionResetError, BrokenPipeError):
+                pass
+
+    # -- ops ---------------------------------------------------------------
+
+    async def _answer(self, payload: dict) -> EvalResponse:
+        """The ``ping`` and ``stats`` ops; any other op is unknown."""
+        op = payload.get("op", protocol.OP_EVAL)
+        request_id = payload.get("request_id", "")
+        if op == protocol.OP_PING:
+            return EvalResponse(
+                protocol.STATUS_OK, request_id,
+                result={"protocol": protocol.PROTOCOL_VERSION,
+                        **self.ping_result})
+        if op == protocol.OP_STATS:
+            return EvalResponse(protocol.STATUS_OK, request_id,
+                                result=self._stats_result(
+                                    payload.get("since")))
+        raise ProtocolError(f"unknown op {op!r}")
+
+    @staticmethod
+    def _admit(payload: dict) -> EvalRequest | CampaignRequest:
+        """Decode an eval or campaign op and reject unknown workloads
+        and backends at admission, not in a worker."""
         from repro.detect import backend_names
         from repro.workloads.profiles import ALL_PROFILES
 
+        if payload.get("op", protocol.OP_EVAL) == protocol.OP_EVAL:
+            request = protocol.request_from_wire(payload)
+        else:
+            request = protocol.campaign_from_wire(payload)
         if request.workload not in ALL_PROFILES:
             raise ProtocolError(f"unknown workload {request.workload!r}")
         if request.backend is not None \
@@ -224,6 +213,124 @@ class EvalService:
             raise ProtocolError(
                 f"unknown detection backend {request.backend!r}; "
                 f"known: {', '.join(backend_names())}")
+        return request
+
+    # -- stats -------------------------------------------------------------
+
+    def _refresh_stats(self) -> None:
+        """Bring computed leaves up to date before they are read."""
+
+    def _stats_result(self, since) -> dict:
+        """The ``stats`` op result: plain tree, or epoch view for
+        ``since``.
+
+        Without ``since`` the result is the bare stats tree (the
+        original wire shape, kept for old clients).  With ``since:
+        <epoch>`` a fresh epoch is published and the result carries the
+        new epoch id, the tree, and the summed numeric delta of every
+        retained snapshot newer than ``since`` — counters accumulate
+        exactly, so polling clients can integrate changes without
+        re-diffing full dumps.  A ``since`` older than the bus history
+        yields the delta over the retained window only.
+        """
+        if since is not None and (not isinstance(since, int)
+                                  or isinstance(since, bool) or since < 0):
+            raise ProtocolError(
+                f"stats 'since' must be a non-negative epoch id, "
+                f"got {since!r}")
+        self._refresh_stats()
+        if since is None:
+            return self.stats_root.to_dict()
+        snapshot = self.telemetry.publish(self.stats_root, label=self._group)
+        delta: dict[str, float] = {}
+        for past in self.telemetry.poll(since=since, label=self._group):
+            for key, change in past.delta.items():
+                delta[key] = delta.get(key, 0.0) + change
+        return {"epoch": snapshot.epoch, "stats": snapshot.tree,
+                "delta": delta}
+
+
+class EvalService(LineServer):
+    """Batched evaluation server over the detection-backend registry."""
+
+    def __init__(self, pool: WorkerPool, *,
+                 host: str = "127.0.0.1", port: int = 0,
+                 queue_depth: int = 64,
+                 batch_window_s: float = 0.01,
+                 default_timeout_s: float | None = None,
+                 max_retries: int = 2,
+                 retry_backoff_s: float = 0.25,
+                 stats: StatGroup | None = None,
+                 telemetry: TelemetryBus | None = None,
+                 epoch_s: float = 0.0,
+                 telemetry_jsonl: str | Path | None = None) -> None:
+        super().__init__("serve", "evaluation service telemetry",
+                         host=host, port=port, stats=stats,
+                         telemetry=telemetry)
+        self.pool = pool
+        self.batch_window_s = batch_window_s
+        self.max_retries = max_retries
+        self.retry_backoff_s = retry_backoff_s
+        self.queue = AdmissionQueue(depth=queue_depth,
+                                    default_timeout_s=default_timeout_s)
+        self.epoch_s = epoch_s
+        if telemetry_jsonl is not None:
+            self.telemetry.attach_jsonl(telemetry_jsonl)
+        self._dispatcher: asyncio.Task | None = None
+        self._publisher: asyncio.Task | None = None
+        self._batch_tasks: set[asyncio.Task] = set()
+
+    # -- lifecycle ---------------------------------------------------------
+
+    async def start(self) -> tuple[str, int]:
+        """Bind, start accepting and dispatching; returns (host, port)."""
+        await super().start()
+        self._dispatcher = asyncio.create_task(self._dispatch_loop(),
+                                               name="serve-dispatch")
+        if self.epoch_s > 0:
+            self._publisher = asyncio.create_task(
+                self._publish_loop(), name="serve-telemetry")
+        log.info("serve: listening on %s:%d", self.host, self.port)
+        return self.host, self.port
+
+    async def stop(self) -> None:
+        """Graceful shutdown: stop accepting, drain, shut the pool down."""
+        await super().stop()
+        if self._dispatcher is not None:
+            self._dispatcher.cancel()
+            try:
+                await self._dispatcher
+            except asyncio.CancelledError:
+                pass
+        if self._publisher is not None:
+            self._publisher.cancel()
+            try:
+                await self._publisher
+            except asyncio.CancelledError:
+                pass
+        # Whatever was admitted but never dispatched is shed; batches
+        # already in flight run to completion (pool drain).
+        self.queue.drain(
+            lambda request: protocol.shed_response(request,
+                                                   self.queue.depth))
+        if self._batch_tasks:
+            await asyncio.gather(*self._batch_tasks, return_exceptions=True)
+        self.pool.shutdown(wait=True)
+        self._refresh_stats()
+        if self.epoch_s > 0:
+            # Final epoch so the stream's last line is the shutdown tree.
+            self.telemetry.publish(self.stats_root, label="serve")
+        self.telemetry.close()
+
+    # -- ops ---------------------------------------------------------------
+
+    async def _answer(self, payload: dict) -> EvalResponse:
+        # Campaigns ride the same queue/batch/dispatch path as evals;
+        # the request type only changes the worker spec.
+        if payload.get("op", protocol.OP_EVAL) in (protocol.OP_EVAL,
+                                                   protocol.OP_CAMPAIGN):
+            return await self._serve_eval(self._admit(payload))
+        return await super()._answer(payload)
 
     async def _serve_eval(self, request: EvalRequest) -> EvalResponse:
         self._stats.counter("requests_total",
@@ -251,15 +358,6 @@ class EvalService:
         self._stats.group("responses").counter(
             response.status, f"responses with status {response.status}",
         ).inc()
-
-    async def _write(self, writer: asyncio.StreamWriter, payload: dict,
-                     write_lock: asyncio.Lock) -> None:
-        async with write_lock:
-            writer.write(encode_message(payload))
-            try:
-                await writer.drain()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
 
     # -- dispatch ----------------------------------------------------------
 
@@ -339,42 +437,14 @@ class EvalService:
 
     # -- stats -------------------------------------------------------------
 
-    def _stats_result(self, since) -> dict:
-        """The ``stats`` op result: plain tree, or epoch view for
-        ``since``.
-
-        Without ``since`` the result is the bare stats tree (the
-        original wire shape, kept for old clients).  With ``since:
-        <epoch>`` a fresh epoch is published and the result carries the
-        new epoch id, the tree, and the summed numeric delta of every
-        retained snapshot newer than ``since`` — counters accumulate
-        exactly, so polling clients can integrate changes without
-        re-diffing full dumps.  A ``since`` older than the bus history
-        yields the delta over the retained window only.
-        """
-        if since is None:
-            return self.stats_root.to_dict()
-        if not isinstance(since, int) or isinstance(since, bool) \
-                or since < 0:
-            raise ProtocolError(
-                f"stats 'since' must be a non-negative epoch id, "
-                f"got {since!r}")
-        snapshot = self.telemetry.publish(self.stats_root, label="serve")
-        delta: dict[str, float] = {}
-        for past in self.telemetry.poll(since=since, label="serve"):
-            for key, change in past.delta.items():
-                delta[key] = delta.get(key, 0.0) + change
-        return {"epoch": snapshot.epoch, "stats": snapshot.tree,
-                "delta": delta}
-
     async def _publish_loop(self) -> None:
         """Stream the stats tree as telemetry epochs every ``epoch_s``."""
         while True:
             await asyncio.sleep(self.epoch_s)
-            self._publish_queue_stats()
+            self._refresh_stats()
             self.telemetry.publish(self.stats_root, label="serve")
 
-    def _publish_queue_stats(self) -> None:
+    def _refresh_stats(self) -> None:
         queue = self._stats.group("queue", "admission control")
         queue.count("submitted", self.queue.submitted)
         queue.count("shed", self.queue.shed)

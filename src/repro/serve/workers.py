@@ -383,6 +383,7 @@ class WorkerPool:
         # Snapshot before shutdown(): it drops the executor's _processes
         # reference, and a broken pool's own reaping cannot be trusted.
         procs = list((getattr(old, "_processes", None) or {}).values())
+        manager = getattr(old, "_executor_manager_thread", None)
         old.shutdown(wait=False, cancel_futures=True)
         for proc in procs:
             proc.join(timeout=self.REAP_TIMEOUT_S)
@@ -390,6 +391,11 @@ class WorkerPool:
             if proc.is_alive():
                 proc.kill()
                 proc.join()
+        # The executor's manager thread reaps the same workers; a join
+        # that loses that race returns before the exit code is recorded,
+        # so wait (bounded) for the manager to finish its reaping too.
+        if manager is not None:
+            manager.join(timeout=self.REAP_TIMEOUT_S)
 
     def shutdown(self, wait: bool = True) -> None:
         """Graceful drain: let running batches finish, then stop."""

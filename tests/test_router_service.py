@@ -12,7 +12,7 @@ import asyncio
 import dataclasses
 
 from repro.faults.engine import CampaignSpec, run_campaign
-from repro.router.backends import Backend, BackendLink, BackendManager
+from repro.router.backends import Backend, BackendManager
 from repro.router.service import (
     RUNTIME_ROW_KEYS,
     RouterService,
@@ -217,7 +217,7 @@ class TestBackendLink:
         get their reply instead of one hanging on a replaced reader."""
         async def scenario():
             shard = await FakeShard("shard0").start()
-            link = BackendLink(shard.host, shard.port)
+            link = AsyncEvalClient(shard.host, shard.port)
             try:
                 replies = await asyncio.wait_for(asyncio.gather(
                     link.request({"op": protocol.OP_PING,
@@ -319,7 +319,7 @@ class TestRouting:
     def test_ring_op_describes_the_fleet(self):
         async def scenario():
             async with RouterHarness() as h:
-                payload = await h.client._send(
+                payload = await h.client.request(
                     {"op": protocol.OP_RING, "request_id": "r1"})
                 ring = payload["result"]
                 assert ring["replicas"] == h.service.ring.replicas

@@ -5,16 +5,22 @@ scripts polling a restarting service) calling into a client whose
 ``_round_trip`` lost a socket on the way.  Every failed attempt must
 fully tear the connection down — no fd creep across retries, and the
 next call reconnects from scratch instead of reusing a broken socket.
+
+The asyncio client must never hang: concurrent first requests share
+one connection, and a request after the server dropped the connection
+reconnects (or raises) instead of waiting on a dead socket.
 """
 
+import asyncio
 import os
 import socket
 import threading
 
 import pytest
 
-from repro.serve.client import EvalClient
-from repro.serve.protocol import EvalRequest
+from repro.serve import protocol
+from repro.serve.client import AsyncEvalClient, BackendDown, EvalClient
+from repro.serve.protocol import EvalRequest, STATUS_OK
 
 
 def _req(**kwargs):
@@ -113,8 +119,6 @@ class TestRetryHygiene:
             with pytest.raises(ConnectionError):
                 client.evaluate(_req())
         # Point the same client at a one-shot healthy responder.
-        from repro.serve import protocol
-
         server = socket.socket()
         server.bind(("127.0.0.1", 0))
         server.listen(1)
@@ -138,3 +142,100 @@ class TestRetryHygiene:
             responder.join(timeout=5)
             server.close()
             client.close()
+
+
+class AnsweringServer:
+    """Answers every line with ``ok``; optionally closes a connection
+    after ``close_after`` answers.  Records each accepted connection."""
+
+    def __init__(self, close_after=0):
+        self.close_after = close_after
+        self.connections = 0
+        self.server = None
+
+    async def __aenter__(self):
+        self.server = await asyncio.start_server(
+            self._handle, "127.0.0.1", 0)
+        self.port = self.server.sockets[0].getsockname()[1]
+        return self
+
+    async def __aexit__(self, *exc):
+        self.server.close()
+        await self.server.wait_closed()
+
+    async def _handle(self, reader, writer):
+        self.connections += 1
+        answered = 0
+        try:
+            while line := await reader.readline():
+                payload = protocol.decode_message(line)
+                writer.write(protocol.encode_message(
+                    {"v": protocol.PROTOCOL_VERSION, "status": STATUS_OK,
+                     "request_id": payload.get("request_id", ""),
+                     "result": {"workload": payload.get("workload")}}))
+                await writer.drain()
+                answered += 1
+                if answered == self.close_after:
+                    break
+        finally:
+            writer.close()
+            await writer.wait_closed()
+
+
+class TestAsyncClientNeverHangs:
+    def test_concurrent_first_evaluates_share_one_connection(self):
+        async def scenario():
+            async with AnsweringServer() as server:
+                client = AsyncEvalClient("127.0.0.1", server.port)
+                try:
+                    responses = await asyncio.wait_for(asyncio.gather(*[
+                        client.evaluate(_req(request_id=f"c{i}"))
+                        for i in range(4)]), timeout=3.0)
+                finally:
+                    await client.close()
+                return responses, server.connections
+
+        responses, connections = asyncio.run(scenario())
+        assert [r.request_id for r in responses] == ["c0", "c1", "c2", "c3"]
+        assert all(r.status == STATUS_OK for r in responses)
+        assert connections == 1
+
+    def test_request_after_server_closed_reconnects_or_raises(self):
+        async def scenario():
+            async with AnsweringServer(close_after=1) as server:
+                client = AsyncEvalClient("127.0.0.1", server.port)
+                try:
+                    first = await client.evaluate(_req())
+                    await asyncio.sleep(0.1)  # the server's close lands
+                    try:
+                        second = await asyncio.wait_for(
+                            client.evaluate(_req()), timeout=3.0)
+                    except BackendDown:
+                        second = None
+                    # Whatever the second request saw, the client is
+                    # usable again: the next request reconnects.
+                    third = await asyncio.wait_for(
+                        client.evaluate(_req()), timeout=3.0)
+                finally:
+                    await client.close()
+                return first, second, third, server.connections
+
+        first, second, third, connections = asyncio.run(scenario())
+        assert first.status == STATUS_OK and third.status == STATUS_OK
+        assert second is None or second.status == STATUS_OK
+        assert connections >= 2
+
+    def test_close_fails_outstanding_requests(self):
+        async def scenario():
+            async with AnsweringServer() as server:
+                client = AsyncEvalClient("127.0.0.1", server.port)
+                await client.connect()
+                # A request whose answer never comes: the server only
+                # answers complete lines.
+                future = asyncio.get_running_loop().create_future()
+                client._waiters["never"] = future
+                await client.close()
+                with pytest.raises(BackendDown):
+                    await asyncio.wait_for(future, timeout=3.0)
+
+        asyncio.run(scenario())
