@@ -8,7 +8,8 @@ Two legs, both against real ``paraverser`` subprocesses:
   traffic script (5 evals + 1 fanned-out campaign) is checked
   bit-identical against in-process reference runs, then the ``router.*``
   stats tree is compared leaf-for-leaf against the committed golden
-  (``tests/golden/router_smoke.json``), masking only the wall-clock
+  (``tests/golden/router_smoke.json``) by the exact rule of
+  ``paraverser stats-diff``, masking only the wall-clock
   ``router.runtime.*`` leaves.  ``--write-golden`` regenerates the
   golden from the same verified traffic (see
   scripts/gen_stats_baseline.sh).
@@ -24,7 +25,6 @@ Exits non-zero on any failure; the caller wraps it in a hard timeout.
 from __future__ import annotations
 
 import argparse
-import fnmatch
 import json
 import os
 import re
@@ -125,15 +125,10 @@ def _check_campaign_row(routed: dict, reference: dict, label: str) -> None:
                 f"routed {routed.get(key)!r} != direct {expected!r}")
 
 
-def _masked(flat: dict[str, float]) -> dict[str, float]:
-    return {key: value for key, value in flat.items()
-            if not any(fnmatch.fnmatchcase(key, glob) for glob in IGNORE)}
-
-
 # -- golden leg --------------------------------------------------------------
 
 def golden_leg(write_golden: bool) -> None:
-    from repro.obs.diff import flatten_tree
+    from repro.obs.diff import diff_stats
     from repro.serve.client import EvalClient
     from repro.serve.protocol import CampaignRequest, EvalRequest
 
@@ -183,18 +178,16 @@ def golden_leg(write_golden: bool) -> None:
         else:
             with open(GOLDEN) as handle:
                 golden = json.load(handle)
-            got = _masked(flatten_tree(candidate))
-            want = _masked(flatten_tree(golden))
-            if got != want:
-                drift = sorted(set(got) ^ set(want)) + sorted(
-                    key for key in set(got) & set(want)
-                    if got[key] != want[key])
+            # The same exact rule as `paraverser stats-diff`.
+            entries = diff_stats(golden, candidate, ignore=IGNORE)
+            drift = [entry for entry in entries if entry.changed]
+            if drift:
                 raise SystemExit(
                     "router stats drifted from golden at: "
-                    + ", ".join(f"{key} ({want.get(key)} -> "
-                                f"{got.get(key)})" for key in drift))
+                    + ", ".join(f"{entry.key} ({entry.a} -> {entry.b})"
+                                for entry in drift))
             print(f"router stats bit-exact vs golden "
-                  f"({len(want)} gated leaves)")
+                  f"({len(entries)} gated leaves)")
     finally:
         _stop(router, signal.SIGINT)
 

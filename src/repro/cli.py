@@ -8,7 +8,7 @@ Installed as ``paraverser`` (see pyproject.toml)::
     paraverser run -w mcf --stats-json stats.json  # dump the stats tree
     paraverser backends                          # list detection backends
     paraverser run -w mcf --backend dual-lockstep  # evaluate one backend
-    paraverser inject -w deepsjeng -t 30         # fault-injection campaign
+    paraverser campaign -w deepsjeng -t 30 --fault-kinds stuck_at  # stuck-at
     paraverser campaign -w deepsjeng -t 200 -j 4 # parallel campaign engine
     paraverser campaign -w mcf --campaign-dir /tmp/c --resume  # finish one
     paraverser campaign -w mcf --backend dme     # divergent multi-version
@@ -20,72 +20,169 @@ Installed as ``paraverser`` (see pyproject.toml)::
     paraverser route --shards 3 --port 8346      # consistent-hash router
     paraverser route --backends h1:8347,h2:8347  # route over running servers
     paraverser eval -w mcf --backend paraverser-full  # query a server
-    paraverser stats-diff old.json new.json      # flag stats regressions
+    paraverser stats-diff old.json new.json      # exact stats gate
     paraverser cache info --dir ~/.pvtraces      # trace-cache entry counts
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import logging
+import math
 import os
-import re
 import sys
 from typing import Sequence
 
 from repro.core.system import CheckMode, ParaVerserConfig, ParaVerserSystem
 from repro.cpu.config import CoreInstance
-from repro.cpu.presets import CORE_CLASSES
+from repro.cpu.presets import (
+    CORE_CLASSES,
+    PoolSpecError,
+    parse_pool,
+    pool_instances,
+)
 from repro.noc.mesh import FAST_NOC, SLOW_NOC
 from repro.power.energy import energy_report
 from repro.workloads.generator import build_program
 from repro.workloads.profiles import ALL_PROFILES, get_profile
 
-_CHECKER_SPEC = re.compile(r"^(\d+)x([A-Za-z0-9]+)@([\d.]+)$")
-
 
 def parse_checkers(spec: str) -> list[CoreInstance]:
-    """Parse ``"4xA510@2.0,1xX2@3.0"`` into core instances."""
-    instances: list[CoreInstance] = []
-    for part in spec.split(","):
-        match = _CHECKER_SPEC.match(part.strip())
-        if not match:
+    """Parse ``"4xA510@2.0,1xX2@3.0"`` into core instances (grammar
+    errors as ``ArgumentTypeError``, a bad frequency as ``ValueError``)."""
+    try:
+        return pool_instances(spec)
+    except PoolSpecError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+# -- argparse types ----------------------------------------------------------
+# Every numeric and enumerated flag is typed here, so a bad value fails
+# at parse time, before any work, with one line naming flag and value.
+
+def _number(kind: type, rule: str, ok):
+    """A finite ``kind`` (int or float) for which ``ok(value)`` holds."""
+    noun = "an integer" if kind is int else "a number"
+
+    def parse(raw: str):
+        try:
+            value = kind(raw)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and ok(value)):
+            raise argparse.ArgumentTypeError(f"{raw!r} is not {noun} {rule}")
+        return value
+    return parse
+
+
+_COUNT = _number(int, ">= 1", lambda v: v >= 1)
+_NATURAL = _number(int, ">= 0", lambda v: v >= 0)
+_POSITIVE = _number(float, "> 0", lambda v: v > 0)
+_NONNEGATIVE = _number(float, ">= 0", lambda v: v >= 0)
+_FRACTION = _number(float, "in [0, 1]", lambda v: 0 <= v <= 1)
+_PORT = _number(int, "in [0, 65535]", lambda v: 0 <= v <= 65535)
+_BACKEND_PORT = _number(int, "in [1, 65535]", lambda v: 1 <= v <= 65535)
+
+
+def _checked(check):
+    """A string ``check(raw)`` accepts, kept as given; the library
+    check's ``ValueError`` becomes the usage error."""
+    def parse(raw: str) -> str:
+        try:
+            check(raw)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return raw
+    return parse
+
+
+def _one_of(choices, what: str):
+    def parse(raw: str) -> str:
+        if raw not in choices:
             raise argparse.ArgumentTypeError(
-                f"bad checker spec {part!r}; expected e.g. 4xA510@2.0"
-            )
-        count, name, freq = match.groups()
-        config = CORE_CLASSES.get(name)
-        if config is None:
+                f"unknown {what} {raw!r}; pick from {', '.join(choices)}")
+        return raw
+    return parse
+
+
+def _csv(item):
+    """A comma-separated list, each entry parsed by ``item``."""
+    def parse(raw: str) -> list:
+        values = [item(part.strip()) for part in raw.split(",")
+                  if part.strip()]
+        if not values:
             raise argparse.ArgumentTypeError(
-                f"unknown core class {name!r}; known: {sorted(CORE_CLASSES)}"
-            )
-        instances.extend([CoreInstance(config, float(freq))] * int(count))
-    if not instances:
-        raise argparse.ArgumentTypeError("empty checker specification")
-    return instances
+                f"{raw!r} needs at least one entry")
+        return values
+    return parse
+
+
+# These import on use: repro.fleet and repro.detect would add tens of
+# milliseconds to every `paraverser` start.
+def _fleet_mode(name: str) -> str:
+    from repro.fleet.server import MODES
+
+    return _one_of(MODES, "mode")(name)
+
+
+def _dispatch_policy(name: str) -> None:
+    from repro.fleet import make_policy
+
+    make_policy(name)
+
+
+def _detection_backend(name: str) -> str:
+    from repro.detect import backend_names
+
+    return _one_of(backend_names(), "detection backend")(name)
+
+
+def _backend_address(raw: str) -> tuple[str, int]:
+    """One ``--backends`` entry: ``host:port``."""
+    host, sep, port = raw.rpartition(":")
+    if not sep or not host:
+        raise argparse.ArgumentTypeError(
+            f"entry {raw!r} is not host:port; use e.g. 127.0.0.1:8347")
+    return host, _BACKEND_PORT(port)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are one stderr line (``prog: error: ...``), exit 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    from repro.faults.models import ALL_FAULT_KINDS
+    from repro.faults.scenarios import CAMPAIGN_SCHEMES
+
+    parser = _Parser(
         prog="paraverser",
         description="ParaVerser (DSN 2025) reproduction toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    modes = [m.value for m in CheckMode]
+
+    def add_jobs(command: argparse.ArgumentParser, what: str) -> None:
+        command.add_argument("-j", "--jobs", type=int, default=None,
+                             help=f"{what} (default: REPRO_JOBS or 1; "
+                                  "<= 0 = all CPUs)")
 
     run = sub.add_parser("run", help="check one workload and report overheads")
     run.add_argument("-w", "--workload", required=True,
                      help="benchmark name (see `paraverser workloads`)")
-    run.add_argument("-c", "--checkers", type=parse_checkers,
-                     default=parse_checkers("4xA510@2.0"),
+    run.add_argument("-c", "--checkers", type=_checked(pool_instances),
+                     default="4xA510@2.0",
                      help="checker pool, e.g. 4xA510@2.0 or 2xX2@1.5")
-    run.add_argument("-m", "--mode",
-                     choices=[m.value for m in CheckMode], default="full")
-    run.add_argument("-n", "--instructions", type=int, default=100_000)
+    run.add_argument("-m", "--mode", choices=modes, default="full")
+    run.add_argument("-n", "--instructions", type=_COUNT, default=100_000)
     run.add_argument("--hash", action="store_true", dest="hash_mode",
                      help="enable SHA-256 Hash Mode (section IV-I)")
     run.add_argument("--slow-noc", action="store_true",
                      help="use the 128-bit @ 1.5 GHz mesh (Fig. 11)")
-    run.add_argument("--sampling-rate", type=float, default=0.25)
+    run.add_argument("--sampling-rate", type=_FRACTION, default=0.25)
     run.add_argument("--stats", action="store_true",
                      help="print a gem5-style statistics dump")
     run.add_argument("--stats-json", metavar="PATH",
@@ -96,49 +193,39 @@ def _build_parser() -> argparse.ArgumentParser:
                           "0 = all CPUs)")
     run.add_argument("--profile", action="store_true",
                      help="print a per-stage wall-time table after the run")
-    run.add_argument("--backend", metavar="NAME",
+    run.add_argument("--backend", metavar="NAME", type=_detection_backend,
                      help="evaluate a registered detection backend instead "
                           "of building a config from -c/-m "
                           "(see `paraverser backends`)")
     run.add_argument("--seed", type=int, default=7)
-
-    inject = sub.add_parser("inject",
-                            help="run a stuck-at fault-injection campaign")
-    inject.add_argument("-w", "--workload", required=True)
-    inject.add_argument("-c", "--checkers", type=parse_checkers,
-                        default=parse_checkers("1xA510@1.0"))
-    inject.add_argument("-t", "--trials", type=int, default=20)
-    inject.add_argument("-n", "--instructions", type=int, default=40_000)
-    inject.add_argument("--seed", type=int, default=7)
 
     campaign = sub.add_parser(
         "campaign",
         help="parallel fault-injection campaign (Fig. 8 at scale)")
     campaign.add_argument("-w", "--workload", required=True)
     campaign.add_argument("-c", "--checkers", metavar="SPEC",
-                          default="1xA510@1.0",
+                          type=_checked(pool_instances), default="1xA510@1.0",
                           help="checker pool spec, e.g. 1xA510@1.0")
-    campaign.add_argument("-m", "--mode",
-                          choices=[m.value for m in CheckMode],
+    campaign.add_argument("-m", "--mode", choices=modes,
                           default="opportunistic")
     campaign.add_argument("--hash", action="store_true", dest="hash_mode")
-    campaign.add_argument("-t", "--trials", type=int, default=None,
+    campaign.add_argument("-t", "--trials", type=_COUNT, default=None,
                           help="injection trials (default: REPRO_TRIALS)")
-    campaign.add_argument("-n", "--instructions", type=int, default=40_000)
+    campaign.add_argument("-n", "--instructions", type=_COUNT, default=40_000)
     campaign.add_argument("--seed", type=int, default=7)
-    campaign.add_argument("-j", "--jobs", type=int, default=None,
-                          help="worker processes fanning trials out "
-                               "(default: REPRO_JOBS or 1; 0 = all CPUs)")
-    campaign.add_argument("--chunk", type=int, default=None,
+    add_jobs(campaign, "worker processes fanning trials out")
+    campaign.add_argument("--chunk", type=_COUNT, default=None,
                           help="trials per pool task (default: auto, "
                                "~trials/(jobs*4); results are identical "
                                "for any chunking)")
-    campaign.add_argument("--backend", metavar="SCHEME",
-                          dest="scheme", default="paraverser",
+    campaign.add_argument("--backend", metavar="SCHEME", dest="scheme",
+                          type=_one_of(CAMPAIGN_SCHEMES, "detection scheme"),
+                          default="paraverser",
                           help="detection scheme the trials run under: "
                                "paraverser, dme, ithica-sdc or meek-ro "
                                "(default: paraverser)")
     campaign.add_argument("--fault-kinds", metavar="K1,K2,...",
+                          type=_csv(_one_of(ALL_FAULT_KINDS, "fault kind")),
                           default=None,
                           help="fault-site mix: any of stuck_at, "
                                "transient_lsq, transient_reg, defect "
@@ -162,8 +249,8 @@ def _build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--host", default=None,
                           help="run on an evaluation server instead of "
                                "locally")
-    campaign.add_argument("--port", type=int, default=8347)
-    campaign.add_argument("--timeout", type=float, default=None,
+    campaign.add_argument("--port", type=_PORT, default=8347)
+    campaign.add_argument("--timeout", type=_POSITIVE, default=None,
                           help="per-request deadline in seconds "
                                "(server runs only)")
 
@@ -173,19 +260,17 @@ def _build_parser() -> argparse.ArgumentParser:
              "(paraverser, dme, ithica-sdc, meek-ro)")
     scenarios.add_argument("-w", "--workload", default="mcf")
     scenarios.add_argument("-c", "--checkers", metavar="SPEC",
-                           default="1xA510@1.0")
-    scenarios.add_argument("-m", "--mode",
-                           choices=[m.value for m in CheckMode],
+                           type=_checked(pool_instances), default="1xA510@1.0")
+    scenarios.add_argument("-m", "--mode", choices=modes,
                            default="opportunistic")
-    scenarios.add_argument("-t", "--trials", type=int, default=12,
+    scenarios.add_argument("-t", "--trials", type=_COUNT, default=12,
                            help="injection trials per scheme")
-    scenarios.add_argument("-n", "--instructions", type=int,
-                           default=40_000)
+    scenarios.add_argument("-n", "--instructions", type=_COUNT, default=40_000)
     scenarios.add_argument("--seed", type=int, default=7)
-    scenarios.add_argument("-j", "--jobs", type=int, default=None,
-                           help="worker processes (default: REPRO_JOBS "
-                                "or 1; 0 = all CPUs)")
-    scenarios.add_argument("--schemes", metavar="S1,S2,...", default=None,
+    add_jobs(scenarios, "worker processes")
+    scenarios.add_argument("--schemes", metavar="S1,S2,...",
+                           type=_csv(_one_of(CAMPAIGN_SCHEMES, "scheme")),
+                           default=list(CAMPAIGN_SCHEMES),
                            help="subset of schemes to run "
                                 "(default: all four)")
     scenarios.add_argument("--stats-json", metavar="PATH",
@@ -198,51 +283,49 @@ def _build_parser() -> argparse.ArgumentParser:
         help="event-driven datacenter traffic model (policy/load/mode "
              "matrix with tail-latency and coverage accounting)")
     fleet.add_argument("--policies", metavar="P1,P2,...",
+                       type=_csv(_checked(_dispatch_policy)),
                        default="random,shortest,jbsq2",
                        help="dispatch policies: random, rr, shortest, "
                             "jbsq<d>, affinity")
     fleet.add_argument("--modes", metavar="M1,M2,...",
-                       default="full,opportunistic",
+                       type=_csv(_fleet_mode), default="full,opportunistic",
                        help="checking modes per cell (full, "
                             "opportunistic, disabled)")
-    fleet.add_argument("--loads", metavar="L1,L2,...", default="0.7,0.9",
+    fleet.add_argument("--loads", metavar="L1,L2,...", type=_csv(_POSITIVE),
+                       default="0.7,0.9",
                        help="offered per-server utilisations")
-    # Numeric flags stay strings here and go through repro.envutil in
-    # cmd_fleet, so a typo fails with a one-line message, not a
-    # traceback.
-    fleet.add_argument("--servers", default="8",
+    fleet.add_argument("--servers", type=_COUNT, default=8,
                        help="fleet size (default 8)")
-    fleet.add_argument("--duration", default="2.0",
+    fleet.add_argument("--duration", type=_POSITIVE, default=2.0,
                        help="simulated seconds per cell (default 2.0)")
-    fleet.add_argument("--reps", default="1",
+    fleet.add_argument("--reps", type=_COUNT, default=1,
                        help="replications per cell, merged in rep order")
-    fleet.add_argument("-j", "--jobs", default=None,
-                       help="worker processes fanning replications "
-                            "(default: REPRO_JOBS or 1; 0 = all CPUs)")
-    fleet.add_argument("--seed", default="7")
+    add_jobs(fleet, "worker processes fanning replications")
+    fleet.add_argument("--seed", type=int, default=7)
     fleet.add_argument("-w", "--workload", default="mcf",
                        help="profile the bimodal service split derives "
                             "from ('exponential' = memoryless M/M/1)")
-    fleet.add_argument("--checkers", metavar="SPEC", default="4xA510@2.0",
+    fleet.add_argument("--checkers", metavar="SPEC", type=_checked(parse_pool),
+                       default="4xA510@2.0",
                        help="per-server checker pool (sets the replay "
                             "rate relative to the main core)")
-    fleet.add_argument("--lag-bound-ms", default="4.0",
+    fleet.add_argument("--lag-bound-ms", type=_NONNEGATIVE, default=4.0,
                        help="checker lag bound (LSL capacity) in ms of "
                             "main-core work")
-    fleet.add_argument("--mean-service-ms", default="1.0",
+    fleet.add_argument("--mean-service-ms", type=_POSITIVE, default=1.0,
                        help="mean request service demand in ms")
     fleet.add_argument("--closed", action="store_true",
                        help="closed-loop clients instead of an open "
                             "Poisson stream")
-    fleet.add_argument("--clients", default="64",
+    fleet.add_argument("--clients", type=_COUNT, default=64,
                        help="closed-loop client population")
-    fleet.add_argument("--think-ms", default="10.0",
+    fleet.add_argument("--think-ms", type=_POSITIVE, default=10.0,
                        help="closed-loop mean think time in ms")
-    fleet.add_argument("--keys", default="1024",
+    fleet.add_argument("--keys", type=_COUNT, default=1024,
                        help="distinct request keys (Zipf popularity)")
-    fleet.add_argument("--zipf", default="1.1",
+    fleet.add_argument("--zipf", type=_NONNEGATIVE, default=1.1,
                        help="Zipf popularity exponent")
-    fleet.add_argument("--epoch-s", default="0",
+    fleet.add_argument("--epoch-s", type=_NONNEGATIVE, default=0.0,
                        help="telemetry epoch length in simulated "
                             "seconds (0 = no epoch stream)")
     fleet.add_argument("--telemetry-jsonl", metavar="PATH",
@@ -258,41 +341,38 @@ def _build_parser() -> argparse.ArgumentParser:
         "control",
         help="closed-loop checking under a diurnal load curve "
              "(adaptive control plane vs the static endpoints)")
-    # Numeric flags stay strings and go through repro.envutil in
-    # cmd_control — one-line errors, not tracebacks.
-    control.add_argument("--policy", default=None,
-                         help="controller policy: threshold, "
-                              "ed2p_budget, scheduler, static "
-                              "(default threshold)")
-    control.add_argument("--servers", default="8")
-    control.add_argument("--load", default="0.7",
+    control.add_argument("--policy", default="threshold",
+                         choices=("threshold", "ed2p_budget", "scheduler",
+                                  "static"),
+                         help="controller policy (default threshold)")
+    control.add_argument("--servers", type=_COUNT, default=8)
+    control.add_argument("--load", type=_POSITIVE, default=0.7,
                          help="base offered utilisation the diurnal "
                               "curve multiplies")
-    control.add_argument("--duration", default="2.0",
+    control.add_argument("--duration", type=_POSITIVE, default=2.0,
                          help="simulated seconds (one compressed day)")
-    control.add_argument("--epoch-s", default=None,
+    control.add_argument("--epoch-s", type=_POSITIVE, default=None,
                          help="control epoch length in simulated "
                               "seconds (default REPRO_CONTROL_EPOCH_S "
                               "or 0.1)")
-    control.add_argument("--budget", default=None,
+    control.add_argument("--budget", type=_POSITIVE, default=None,
                          help="checker energy-overhead budget for "
                               "ed2p_budget (default "
                               "REPRO_CONTROL_BUDGET or 0.40)")
-    control.add_argument("--dwell", default="2",
+    control.add_argument("--dwell", type=_COUNT, default=2,
                          help="min epochs between applied switches "
                               "(hysteresis dwell)")
-    control.add_argument("--stall-high", default="0.05",
+    control.add_argument("--stall-high", type=_FRACTION, default=0.05,
                          help="degrade watermark on the stall fraction")
-    control.add_argument("--stall-low", default="0.01",
+    control.add_argument("--stall-low", type=_FRACTION, default=0.01,
                          help="restore watermark on the stall fraction")
-    control.add_argument("--checkers", metavar="SPEC", default=None,
+    control.add_argument("--checkers", metavar="SPEC",
+                         type=_checked(parse_pool), default=None,
                          help="per-server checker pool (default: the "
                               "bench's under-provisioned 3xA510@2.0)")
-    control.add_argument("--reps", default="1")
-    control.add_argument("-j", "--jobs", default=None,
-                         help="worker processes (default REPRO_JOBS "
-                              "or 1; 0 = all CPUs)")
-    control.add_argument("--seed", default="7")
+    control.add_argument("--reps", type=_COUNT, default=1)
+    add_jobs(control, "worker processes")
+    control.add_argument("--seed", type=int, default=7)
     control.add_argument("--telemetry-jsonl", metavar="PATH",
                          help="write the controlled arm's epoch stream "
                               "as JSONL (bit-identical at any -j)")
@@ -311,14 +391,10 @@ def _build_parser() -> argparse.ArgumentParser:
     figures = sub.add_parser("figures",
                              help="regenerate the paper's tables/figures")
     figures.add_argument("names", nargs="+",
-                         choices=["fig6", "fig7", "fig8", "fig9", "fig10",
-                                  "fig11", "sec7e", "sec7f", "fleet",
-                                  "all"])
+                         choices=[*_ALL_FIGURES, "fleet", "all"])
     figures.add_argument("--chart", action="store_true",
                          help="render ASCII bar charts instead of tables")
-    figures.add_argument("-j", "--jobs", type=int, default=None,
-                         help="worker processes for config sweeps "
-                              "(default: REPRO_JOBS or 1; 0 = all CPUs)")
+    add_jobs(figures, "worker processes for config sweeps")
     figures.add_argument("--stage-jobs", type=int, default=None,
                          help="stage-graph threads inside each run "
                               "(default: REPRO_STAGE_JOBS or 1; "
@@ -327,28 +403,29 @@ def _build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve", help="run the async batched evaluation service")
     serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8347,
+    serve.add_argument("--port", type=_PORT, default=8347,
                        help="TCP port (0 = OS-assigned, printed on start)")
-    serve.add_argument("--workers", type=int, default=2,
+    serve.add_argument("--workers", type=_NATURAL, default=2,
                        help="simulation worker processes (0 = all CPUs)")
-    serve.add_argument("--queue-depth", type=int, default=64,
+    serve.add_argument("--queue-depth", type=_COUNT, default=64,
                        help="admission queue bound; beyond it requests "
                             "are load-shed")
-    serve.add_argument("--batch-window-ms", type=float, default=10.0,
+    serve.add_argument("--batch-window-ms", type=_NONNEGATIVE, default=10.0,
                        help="how long a batch stays open for coalescing")
-    serve.add_argument("--timeout", type=float, default=None,
+    serve.add_argument("--timeout", type=_POSITIVE, default=None,
                        help="default per-request deadline in seconds")
     serve.add_argument("--trace-cache", metavar="DIR", default=None,
                        help="persistent trace cache directory "
                             "(default: REPRO_TRACE_CACHE)")
     serve.add_argument("--prime", metavar="W1,W2,...", default=None,
+                       type=_csv(_one_of(sorted(ALL_PROFILES), "workload")),
                        help="warm the trace cache for these workloads "
                             "before accepting traffic")
-    serve.add_argument("-n", "--instructions", type=int, default=20_000,
+    serve.add_argument("-n", "--instructions", type=_COUNT, default=20_000,
                        help="instruction budget used for --prime")
     serve.add_argument("--seed", type=int, default=7,
                        help="seed used for --prime")
-    serve.add_argument("--epoch-s", type=float, default=0.0,
+    serve.add_argument("--epoch-s", type=_NONNEGATIVE, default=0.0,
                        help="publish a telemetry epoch of the stats "
                             "tree every EPOCH_S seconds (0 = off)")
     serve.add_argument("--telemetry-jsonl", metavar="PATH", default=None,
@@ -361,29 +438,25 @@ def _build_parser() -> argparse.ArgumentParser:
         "route",
         help="consistent-hash shard router over N serve backends")
     route.add_argument("--host", default="127.0.0.1")
-    route.add_argument("--port", type=int, default=8346,
+    route.add_argument("--port", type=_PORT, default=8346,
                        help="router TCP port (0 = OS-assigned, printed "
                             "on start)")
-    # Numeric scale knobs stay strings and go through repro.envutil in
-    # cmd_route, so a typo fails with a one-line message, not a
-    # traceback.
-    route.add_argument("--shards", default=None,
-                       help="spawn this many local serve backends on "
-                            "OS-assigned ports (default 2 when "
-                            "--backends is not given)")
-    route.add_argument("--backends", metavar="H1:P1,H2:P2,...",
-                       default=None,
-                       help="adopt already-running serve backends "
-                            "instead of spawning (mutually exclusive "
-                            "with --shards)")
-    route.add_argument("--replicas", default="64",
+    shards = route.add_mutually_exclusive_group()
+    shards.add_argument("--shards", type=_COUNT, default=None,
+                        help="spawn this many local serve backends on "
+                             "OS-assigned ports (default 2)")
+    shards.add_argument("--backends", metavar="H1:P1,H2:P2,...",
+                        type=_csv(_backend_address), default=None,
+                        help="adopt already-running serve backends "
+                             "instead of spawning")
+    route.add_argument("--replicas", type=_COUNT, default=64,
                        help="virtual nodes per shard on the hash ring")
-    route.add_argument("--health-interval", default="2.0",
+    route.add_argument("--health-interval", type=_NONNEGATIVE, default=2.0,
                        help="seconds between backend health pings "
                             "(0 disables the health loop)")
-    route.add_argument("--workers", default="1",
+    route.add_argument("--workers", type=_COUNT, default=1,
                        help="worker processes per spawned backend")
-    route.add_argument("--batch-window-ms", default=None,
+    route.add_argument("--batch-window-ms", type=_NONNEGATIVE, default=None,
                        help="batch window forwarded to spawned backends")
     route.add_argument("--trace-cache", metavar="DIR", default=None,
                        help="persistent trace cache shared by spawned "
@@ -395,22 +468,22 @@ def _build_parser() -> argparse.ArgumentParser:
         "eval", help="evaluate a workload/backend pair on a running server")
     eval_cmd.add_argument("-w", "--workload", required=True)
     eval_cmd.add_argument("--backend", metavar="NAME", default=None,
+                          type=_detection_backend,
                           help="registered detection backend "
                                "(see `paraverser backends`)")
-    eval_cmd.add_argument("-c", "--checkers", metavar="SPEC", default=None,
+    eval_cmd.add_argument("-c", "--checkers", metavar="SPEC",
+                          type=_checked(pool_instances), default=None,
                           help="checker pool spec, e.g. 4xA510@2.0 "
                                "(alternative to --backend)")
-    eval_cmd.add_argument("-m", "--mode",
-                          choices=[m.value for m in CheckMode],
-                          default="full")
+    eval_cmd.add_argument("-m", "--mode", choices=modes, default="full")
     eval_cmd.add_argument("--hash", action="store_true", dest="hash_mode")
-    eval_cmd.add_argument("-n", "--instructions", type=int, default=20_000)
+    eval_cmd.add_argument("-n", "--instructions", type=_COUNT, default=20_000)
     eval_cmd.add_argument("--seed", type=int, default=7)
-    eval_cmd.add_argument("--fault-trials", type=int, default=0,
+    eval_cmd.add_argument("--fault-trials", type=_NATURAL, default=0,
                           help="also run a stuck-at injection campaign")
     eval_cmd.add_argument("--host", default="127.0.0.1")
-    eval_cmd.add_argument("--port", type=int, default=8347)
-    eval_cmd.add_argument("--timeout", type=float, default=None,
+    eval_cmd.add_argument("--port", type=_PORT, default=8347)
+    eval_cmd.add_argument("--timeout", type=_POSITIVE, default=None,
                           help="per-request deadline in seconds")
     eval_cmd.add_argument("--json", action="store_true",
                           help="print the raw result row as JSON")
@@ -426,13 +499,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     diff = sub.add_parser(
         "stats-diff",
-        help="compare two --stats-json dumps and flag regressions")
+        help="compare two --stats-json dumps leaf for leaf; exit 1 on "
+             "any changed, added or removed leaf")
     diff.add_argument("baseline", help="stats JSON of the reference run")
     diff.add_argument("candidate", help="stats JSON of the new run")
-    diff.add_argument("--threshold", type=float, default=0.10,
-                      help="relative regression threshold (default 0.10)")
+    diff.add_argument("--threshold", type=_NONNEGATIVE, default=0.10,
+                      help="relative change that labels a directional "
+                           "leaf a REGRESSION (default 0.10)")
     diff.add_argument("--all", action="store_true", dest="show_all",
-                      help="show unchanged and informational leaves too")
+                      help="show unchanged leaves too")
     diff.add_argument("--ignore", action="append", default=[],
                       metavar="GLOB",
                       help="exclude dotted leaves matching this fnmatch "
@@ -479,11 +554,7 @@ def _run_backend(args: argparse.Namespace) -> int:
     from repro.detect import get_backend
     from repro.harness.runner import WorkloadCache
 
-    try:
-        backend = get_backend(args.backend)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
+    backend = get_backend(args.backend)
     cache = WorkloadCache(max_instructions=args.instructions,
                           seed=args.seed)
     report = backend.evaluate(cache, args.workload)
@@ -512,7 +583,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     program = build_program(get_profile(args.workload), seed=args.seed)
     config = ParaVerserConfig(
         main=CoreInstance(CORE_CLASSES["X2"], 3.0),
-        checkers=args.checkers,
+        checkers=pool_instances(args.checkers),
         mode=CheckMode(args.mode),
         hash_mode=args.hash_mode,
         noc=SLOW_NOC if args.slow_noc else FAST_NOC,
@@ -546,41 +617,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_inject(args: argparse.Namespace) -> int:
-    """`paraverser inject`: run a stuck-at fault-injection campaign."""
-    from repro.faults.campaign import FaultCampaign, covered_segments
-
-    program = build_program(get_profile(args.workload), seed=args.seed)
-    config = ParaVerserConfig(
-        main=CoreInstance(CORE_CLASSES["X2"], 3.0),
-        checkers=args.checkers,
-        mode=CheckMode.OPPORTUNISTIC,
-        seed=args.seed,
-    )
-    system = ParaVerserSystem(config)
-    run = system.execute(program, max_instructions=args.instructions)
-    result = system.run(program, run_result=run)
-    segments = system.segment(run)
-    campaign = FaultCampaign(program, segments,
-                             args.checkers[0].config)
-    outcome = campaign.run(args.trials, seed=args.seed,
-                           covered=covered_segments(result))
-    tally = outcome.tally
-    print(f"workload:                {args.workload}")
-    print(f"instruction coverage:    {result.coverage * 100:.1f}%")
-    print(f"injected faults:         {tally.injected}")
-    print(f"detected:                {tally.detected}")
-    print(f"masked:                  {tally.masked}")
-    print(f"detection (all):         {tally.detection_rate_all * 100:.0f}%")
-    print("detection (effective):   "
-          f"{tally.detection_rate_effective * 100:.0f}%")
-    for trial in outcome.trials:
-        status = ("DETECTED" if trial.detected
-                  else "masked" if trial.masked else "missed")
-        print(f"  {trial.fault.describe():55s} {status}")
-    return 0
-
-
 def _print_campaign_row(row: dict) -> None:
     print(f"workload:                {row['workload']}")
     print(f"checkers:                {row['checkers']} ({row['mode']})")
@@ -606,100 +642,53 @@ def _print_campaign_row(row: dict) -> None:
           f"(jobs={row['jobs']})")
 
 
-def _campaign_fault_kinds(raw: str | None,
-                          scheme: str = "paraverser") -> tuple[str, ...]:
-    from repro.faults.models import ALL_FAULT_KINDS
-    from repro.faults.scenarios import default_fault_kinds
-
-    if raw is None:
-        return default_fault_kinds(scheme)
-    kinds = tuple(k.strip() for k in raw.split(",") if k.strip())
-    unknown = [k for k in kinds if k not in ALL_FAULT_KINDS]
-    if not kinds or unknown:
-        raise argparse.ArgumentTypeError(
-            f"bad fault kinds {raw!r}; "
-            f"pick from {', '.join(ALL_FAULT_KINDS)}")
-    return kinds
+_EVAL_EXIT_CODES = {"ok": 0, "timeout": 4, "shed": 3, "error": 2}
 
 
-def _campaign_scheme(raw: str) -> str:
-    from repro.faults.scenarios import CAMPAIGN_SCHEMES
+def _remote(args: argparse.Namespace, command: str, send, show) -> int:
+    """One request to the server at ``--host``/``--port``.
 
-    if raw not in CAMPAIGN_SCHEMES:
-        raise argparse.ArgumentTypeError(
-            f"unknown detection scheme {raw!r}; "
-            f"pick from {', '.join(CAMPAIGN_SCHEMES)}")
-    return raw
-
-
-def _campaign_remote(args: argparse.Namespace,
-                     fault_kinds: tuple[str, ...], trials: int) -> int:
-    import json as _json
-
+    ``send(client)`` makes the request; an unreachable server exits 2,
+    a failed response exits with its status code, and a good one prints
+    its row (``show``, or JSON with ``--json``).
+    """
     from repro.serve.client import EvalClient
-    from repro.serve.protocol import CampaignRequest
 
-    if args.resume or args.campaign_dir:
-        print("campaign: --resume/--campaign-dir are local-only "
-              "(the server runs each request whole)", file=sys.stderr)
-        return 2
-    request = CampaignRequest(
-        workload=args.workload,
-        checkers=args.checkers,
-        mode=args.mode,
-        hash_mode=args.hash_mode,
-        instructions=args.instructions,
-        seed=args.seed,
-        trials=trials,
-        fault_kinds=fault_kinds,
-        scheme=args.scheme,
-        timeout_s=args.timeout,
-    )
     try:
         with EvalClient(args.host, args.port) as client:
-            response = client.campaign(request)
+            response = send(client)
     except (OSError, ConnectionError) as exc:
-        print(f"campaign: cannot reach {args.host}:{args.port}: {exc}",
+        print(f"{command}: cannot reach {args.host}:{args.port}: {exc}",
               file=sys.stderr)
         return 2
     if not response.ok:
-        print(f"campaign: {response.status}: {response.error}",
+        print(f"{command}: {response.status}: {response.error}",
               file=sys.stderr)
         return _EVAL_EXIT_CODES.get(response.status, 2)
     row = response.result or {}
     if args.json:
-        print(_json.dumps(row, sort_keys=True))
+        print(json.dumps(row, sort_keys=True))
     else:
-        _print_campaign_row(row)
+        show(row)
     return 0
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
     """`paraverser campaign`: fan injection trials over worker processes."""
-    import json as _json
+    from dataclasses import asdict
 
     from repro.faults.engine import (
         CampaignRunner,
         CampaignSpec,
         publish_campaign_stats,
     )
-    from repro.harness.runner import env_jobs, env_trials
+    from repro.faults.scenarios import default_fault_kinds
+    from repro.harness.runner import env_trials
     from repro.obs import StatGroup
 
-    try:
-        scheme = _campaign_scheme(args.scheme)
-        fault_kinds = _campaign_fault_kinds(args.fault_kinds, scheme)
-        parse_checkers(args.checkers)  # fail fast on a bad pool spec
-    except argparse.ArgumentTypeError as exc:
-        print(f"campaign: {exc}", file=sys.stderr)
-        return 2
+    fault_kinds = (tuple(args.fault_kinds) if args.fault_kinds
+                   else default_fault_kinds(args.scheme))
     trials = args.trials if args.trials is not None else env_trials()
-    if args.host:
-        return _campaign_remote(args, fault_kinds, trials)
-    if args.resume and not args.campaign_dir:
-        print("campaign: --resume requires --campaign-dir",
-              file=sys.stderr)
-        return 2
     spec = CampaignSpec(
         workload=args.workload,
         checkers=args.checkers,
@@ -709,11 +698,23 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         seed=args.seed,
         trials=trials,
         fault_kinds=fault_kinds,
-        scheme=scheme,
+        scheme=args.scheme,
     )
-    jobs = args.jobs if args.jobs is not None else env_jobs()
-    if jobs <= 0:
-        jobs = os.cpu_count() or 1
+    if args.host:
+        if args.resume or args.campaign_dir:
+            print("campaign: --resume/--campaign-dir are local-only "
+                  "(the server runs each request whole)", file=sys.stderr)
+            return 2
+        from repro.serve.protocol import CampaignRequest
+
+        request = CampaignRequest(**asdict(spec), timeout_s=args.timeout)
+        return _remote(args, "campaign",
+                       lambda client: client.campaign(request),
+                       _print_campaign_row)
+    if args.resume and not args.campaign_dir:
+        print("campaign: --resume requires --campaign-dir",
+              file=sys.stderr)
+        return 2
     # Live progress epochs on the telemetry bus: counts accumulate in
     # completion order (progress, not a golden surface — the final
     # faults.* tree in --stats-json stays the deterministic record).
@@ -737,7 +738,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                 bus.publish({"campaign": dict(progress)}, label=label)
 
     try:
-        with CampaignRunner(jobs=jobs, campaign_dir=args.campaign_dir,
+        with CampaignRunner(jobs=args.jobs, campaign_dir=args.campaign_dir,
                             resume=args.resume,
                             chunk=args.chunk) as runner:
             outcome = runner.run(spec, on_record=on_record)
@@ -746,7 +747,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             bus.close()
     row = outcome.to_row()
     if args.json:
-        print(_json.dumps(row, sort_keys=True))
+        print(json.dumps(row, sort_keys=True))
     else:
         _print_campaign_row(row)
     if args.stats_json:
@@ -764,42 +765,18 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
     table); ``--stats-json`` writes one ``faults.<scheme>.*`` subtree
     per scheme for the CI golden gate.
     """
-    import json as _json
-
     from repro.faults.engine import (
         CampaignSpec,
         publish_campaign_stats,
         run_campaign,
     )
-    from repro.faults.scenarios import (
-        CAMPAIGN_SCHEMES,
-        default_fault_kinds,
-    )
+    from repro.faults.scenarios import default_fault_kinds
     from repro.obs import StatGroup
-
-    if args.schemes is None:
-        schemes = list(CAMPAIGN_SCHEMES)
-    else:
-        schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
-        unknown = [s for s in schemes if s not in CAMPAIGN_SCHEMES]
-        if not schemes or unknown:
-            print(f"scenarios: unknown schemes {unknown}; "
-                  f"pick from {', '.join(CAMPAIGN_SCHEMES)}",
-                  file=sys.stderr)
-            return 2
-    try:
-        parse_checkers(args.checkers)
-    except argparse.ArgumentTypeError as exc:
-        print(f"scenarios: {exc}", file=sys.stderr)
-        return 2
-    jobs = args.jobs
-    if jobs is not None and jobs <= 0:
-        jobs = os.cpu_count() or 1
 
     stats = StatGroup("root")
     faults_group = stats.group("faults", "detection-scenario campaigns")
     rows = []
-    for scheme in schemes:
+    for scheme in args.schemes:
         spec = CampaignSpec(
             workload=args.workload,
             checkers=args.checkers,
@@ -810,13 +787,13 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
             fault_kinds=default_fault_kinds(scheme),
             scheme=scheme,
         )
-        outcome = run_campaign(spec, jobs=jobs)
+        outcome = run_campaign(spec, jobs=args.jobs)
         publish_campaign_stats(faults_group, outcome,
                                name=scheme.replace("-", "_"))
         rows.append(outcome.to_row())
 
     if args.json:
-        print(_json.dumps(rows, sort_keys=True))
+        print(json.dumps(rows, sort_keys=True))
     else:
         print(f"workload {args.workload}, {args.trials} trials/scheme, "
               f"{args.instructions} instructions "
@@ -841,85 +818,40 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
 
 def cmd_fleet(args: argparse.Namespace) -> int:
     """`paraverser fleet`: run the (policy, mode, load) traffic matrix."""
-    import json as _json
     import time
 
-    from repro.envutil import parse_float, parse_int
     from repro.fleet import (
         FleetTrafficConfig,
-        checker_relative_rate,
-        make_policy,
         matrix,
         publish_fleet_stats,
         run_cell,
         summarize,
     )
-    from repro.harness.runner import env_jobs
     from repro.obs import StatGroup
 
-    servers = parse_int("--servers", args.servers, 8)
-    duration = parse_float("--duration", args.duration, 2.0)
-    reps = parse_int("--reps", args.reps, 1)
-    seed = parse_int("--seed", args.seed, 7)
-    clients = parse_int("--clients", args.clients, 64)
-    keys = parse_int("--keys", args.keys, 1024)
-    zipf = parse_float("--zipf", args.zipf, 1.1)
-    lag_bound_ms = parse_float("--lag-bound-ms", args.lag_bound_ms, 4.0)
-    mean_service_ms = parse_float("--mean-service-ms",
-                                  args.mean_service_ms, 1.0)
-    think_ms = parse_float("--think-ms", args.think_ms, 10.0)
-    epoch_s = parse_float("--epoch-s", args.epoch_s, 0.0)
-    jobs = parse_int("--jobs", args.jobs, 0) if args.jobs is not None \
-        else env_jobs()
-    if jobs <= 0:
-        jobs = os.cpu_count() or 1
-    if servers < 1 or duration <= 0 or reps < 1:
-        print("fleet: --servers/--reps must be >= 1 and --duration > 0",
-              file=sys.stderr)
-        return 2
-    if args.telemetry_jsonl and epoch_s <= 0:
+    if args.telemetry_jsonl and args.epoch_s <= 0:
         print("fleet: --telemetry-jsonl needs --epoch-s > 0",
               file=sys.stderr)
         return 2
 
-    from repro.fleet.server import MODES
-
-    policies = [p.strip() for p in args.policies.split(",") if p.strip()]
-    modes = [m.strip() for m in args.modes.split(",") if m.strip()]
-    loads = [parse_float("--loads", raw.strip(), 0.7)
-             for raw in args.loads.split(",") if raw.strip()]
-    try:
-        for name in policies:
-            make_policy(name)
-        checker_relative_rate(args.checkers)
-        unknown = [m for m in modes if m not in MODES]
-        if unknown:
-            raise ValueError(f"unknown mode(s) {', '.join(unknown)}; "
-                             f"pick from {', '.join(MODES)}")
-        if not (policies and modes and loads):
-            raise ValueError("need at least one policy, mode and load")
-    except ValueError as exc:
-        print(f"fleet: {exc}", file=sys.stderr)
-        return 2
-
     base = FleetTrafficConfig(
-        servers=servers,
+        servers=args.servers,
         checkers=args.checkers,
-        lag_bound_s=lag_bound_ms / 1e3,
+        lag_bound_s=args.lag_bound_ms / 1e3,
         traffic_kind="closed" if args.closed else "open",
-        clients=clients,
-        think_s=think_ms / 1e3,
+        clients=args.clients,
+        think_s=args.think_ms / 1e3,
         workload=args.workload,
-        mean_service_s=mean_service_ms / 1e3,
-        n_keys=keys,
-        zipf_alpha=zipf,
-        duration_s=duration,
-        seed=seed,
-        epoch_s=epoch_s,
+        mean_service_s=args.mean_service_ms / 1e3,
+        n_keys=args.keys,
+        zipf_alpha=args.zipf,
+        duration_s=args.duration,
+        seed=args.seed,
+        epoch_s=args.epoch_s,
     )
-    configs = matrix(policies, modes, loads, base)
+    configs = matrix(args.policies, args.modes, args.loads, base)
     started = time.perf_counter()
-    results = [run_cell(config, reps=reps, jobs=jobs)
+    results = [run_cell(config, reps=args.reps, jobs=args.jobs)
                for config in configs]
     elapsed = time.perf_counter() - started
     metrics = [summarize(result) for result in results]
@@ -942,10 +874,10 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         from dataclasses import asdict
 
         for cell in metrics:
-            print(_json.dumps(asdict(cell), sort_keys=True))
+            print(json.dumps(asdict(cell), sort_keys=True))
     else:
-        print(f"fleet: {servers} servers x {duration:g}s x {reps} rep(s), "
-              f"{args.checkers} checkers, "
+        print(f"fleet: {args.servers} servers x {args.duration:g}s x "
+              f"{args.reps} rep(s), {args.checkers} checkers, "
               f"{'closed' if args.closed else 'open'} loop "
               f"({args.workload} service)")
         width = max(28, max(len(cell.label) for cell in metrics))
@@ -960,7 +892,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
                   f"{cell.coverage * 100:6.2f}% "
                   f"{cell.stall_fraction * 100:6.2f}% "
                   f"{cell.sdc_events:8.0f}")
-        print(f"wall time:         {elapsed:.2f}s (jobs={jobs})")
+        print(f"wall time:         {elapsed:.2f}s (jobs={args.jobs})")
     if args.stats_json:
         stats = StatGroup("root")
         publish_fleet_stats(stats, metrics, elapsed_s=elapsed)
@@ -976,80 +908,53 @@ def cmd_control(args: argparse.Namespace) -> int:
     the controller should beat always-full on p99 while beating
     always-opportunistic on coverage.
     """
-    import json as _json
-    import re as _re
-
     from repro.control import publish_control_stats
     from repro.control.bench import BENCH_CHECKERS, run_diurnal_bench
-    from repro.envutil import (
-        env_float,
-        parse_choice,
-        parse_float,
-        parse_int,
-    )
+    from repro.envutil import env_float
     from repro.fleet import publish_fleet_stats, summarize
-    from repro.harness.runner import env_jobs
     from repro.obs import StatGroup, write_epoch_jsonl
 
-    servers = parse_int("--servers", args.servers, 8)
-    load = parse_float("--load", args.load, 0.7)
-    duration = parse_float("--duration", args.duration, 2.0)
-    epoch_s = parse_float("--epoch-s", args.epoch_s,
-                          env_float("REPRO_CONTROL_EPOCH_S", 0.1))
-    budget = parse_float("--budget", args.budget,
-                         env_float("REPRO_CONTROL_BUDGET", 0.40))
-    dwell = parse_int("--dwell", args.dwell, 2)
-    stall_high = parse_float("--stall-high", args.stall_high, 0.05)
-    stall_low = parse_float("--stall-low", args.stall_low, 0.01)
-    reps = parse_int("--reps", args.reps, 1)
-    seed = parse_int("--seed", args.seed, 7)
-    policy = parse_choice(
-        "--policy", args.policy, "threshold",
-        ("threshold", "ed2p_budget", "scheduler", "static"))
-    checkers = args.checkers or BENCH_CHECKERS
-    jobs = parse_int("--jobs", args.jobs, 0) if args.jobs is not None \
-        else env_jobs()
-    if jobs <= 0:
-        jobs = os.cpu_count() or 1
-    if servers < 1 or duration <= 0 or reps < 1 or epoch_s <= 0:
-        print("control: --servers/--reps must be >= 1 and "
-              "--duration/--epoch-s > 0", file=sys.stderr)
+    epoch_s = args.epoch_s if args.epoch_s is not None \
+        else env_float("REPRO_CONTROL_EPOCH_S", 0.1)
+    if epoch_s <= 0:
+        print("control: REPRO_CONTROL_EPOCH_S must be > 0", file=sys.stderr)
         return 2
-
-    if policy == "threshold":
+    budget = args.budget if args.budget is not None \
+        else env_float("REPRO_CONTROL_BUDGET", 0.40)
+    checkers = args.checkers or BENCH_CHECKERS
+    if args.policy == "threshold":
         spec = {"kind": "threshold", "checkers": checkers,
-                "dwell": dwell, "stall_high": stall_high,
-                "stall_low": stall_low}
-    elif policy == "ed2p_budget":
-        match = _re.match(r"^(\d+)x([A-Za-z0-9]+)@[\d.]+$",
-                          checkers.strip())
-        if not match:
+                "dwell": args.dwell, "stall_high": args.stall_high,
+                "stall_low": args.stall_low}
+    elif args.policy == "ed2p_budget":
+        groups = parse_pool(checkers)
+        if len(groups) != 1:
             print(f"control: ed2p_budget needs a single-group pool "
                   f"spec like 3xA510@2.0, got {checkers!r}",
                   file=sys.stderr)
             return 2
+        count, config, _ = groups[0]
         spec = {"kind": "ed2p_budget", "budget": budget,
-                "dwell": dwell, "pool": int(match.group(1)),
-                "core": match.group(2)}
-    elif policy == "scheduler":
-        spec = {"kind": "scheduler", "dwell": dwell}
+                "dwell": args.dwell, "pool": count, "core": config.name}
+    elif args.policy == "scheduler":
+        spec = {"kind": "scheduler", "dwell": args.dwell}
     else:
         spec = {"kind": "static", "checkers": checkers}
     try:
-        out = run_diurnal_bench(servers=servers, load=load,
-                                duration_s=duration, epoch_s=epoch_s,
-                                reps=reps, jobs=jobs, seed=seed,
-                                controller=spec)
+        out = run_diurnal_bench(servers=args.servers, load=args.load,
+                                duration_s=args.duration, epoch_s=epoch_s,
+                                reps=args.reps, jobs=args.jobs,
+                                seed=args.seed, controller=spec)
     except ValueError as exc:
         print(f"control: {exc}", file=sys.stderr)
         return 2
     results = out.pop("results")
 
     if args.json:
-        print(_json.dumps(out, sort_keys=True))
+        print(json.dumps(out, sort_keys=True))
     else:
-        print(f"control: {servers} servers x {duration:g}s day, "
-              f"epoch {epoch_s:g}s, {policy} policy, "
+        print(f"control: {args.servers} servers x {args.duration:g}s day, "
+              f"epoch {epoch_s:g}s, {args.policy} policy, "
               f"{checkers} checkers")
         print(f"{'arm':22s} {'p50':>8s} {'p99':>8s} {'cover':>7s} "
               f"{'SDC/yr':>7s} {'energy+':>8s} {'switch':>6s}  "
@@ -1106,6 +1011,11 @@ def cmd_backends(args: argparse.Namespace) -> int:
     return 0
 
 
+#: What `figures all` regenerates (the fleet sweep is opt-in).
+_ALL_FIGURES = ("fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "sec7e",
+                "sec7f")
+
+
 def cmd_figures(args: argparse.Namespace) -> int:
     """`paraverser figures`: regenerate the paper's tables/figures."""
     from repro.harness import experiments
@@ -1115,13 +1025,9 @@ def cmd_figures(args: argparse.Namespace) -> int:
     def show(table):
         print(bar_chart(table) if args.chart else table.render())
 
-    names = list(args.names)
-    if "all" in names:
-        names = ["fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
-                 "sec7e", "sec7f"]
-    if args.jobs is not None:
-        # Propagate so helper runners creating their own caches agree.
-        os.environ["REPRO_JOBS"] = str(args.jobs)
+    names = list(_ALL_FIGURES) if "all" in args.names else args.names
+    # Propagate so helper runners creating their own caches agree.
+    os.environ["REPRO_JOBS"] = str(args.jobs)
     if args.stage_jobs is not None:
         os.environ["REPRO_STAGE_JOBS"] = str(args.stage_jobs)
     cache = WorkloadCache()
@@ -1227,8 +1133,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
 
     async def _prime() -> None:
-        workloads = [w.strip() for w in args.prime.split(",") if w.strip()]
-        primed = await pool.prime(workloads, args.instructions, args.seed)
+        primed = await pool.prime(args.prime, args.instructions, args.seed)
         print(f"primed traces:     {', '.join(primed)}", flush=True)
 
     _run_front_door("serve", service, args.stats_json,
@@ -1242,49 +1147,20 @@ def cmd_route(args: argparse.Namespace) -> int:
     SIGTERM, like Ctrl-C, stops the router gracefully and then stops
     every shard it spawned (each drains and shuts its own pool down).
     """
-    from repro.envutil import parse_float, parse_int
-    from repro.router import BackendManager, RouterService, \
-        parse_backend_address
-
-    if args.shards is not None and args.backends is not None:
-        print("route: pass either --shards (spawn local backends) or "
-              "--backends (adopt running ones), not both",
-              file=sys.stderr)
-        return 2
-    replicas = parse_int("--replicas", args.replicas, 64)
-    health_interval = parse_float("--health-interval",
-                                  args.health_interval, 2.0)
-    workers = parse_int("--workers", args.workers, 1)
-    batch_window_ms = (parse_float("--batch-window-ms",
-                                   args.batch_window_ms, 10.0)
-                       if args.batch_window_ms is not None else None)
-    shards = parse_int("--shards", args.shards, 2)
-    if replicas < 1 or shards < 1 or workers < 1 or health_interval < 0:
-        print("route: --replicas/--shards/--workers must be >= 1 and "
-              "--health-interval >= 0", file=sys.stderr)
-        return 2
-    addresses = None
-    if args.backends is not None:
-        addresses = [parse_backend_address(raw.strip())
-                     for raw in args.backends.split(",") if raw.strip()]
-        if not addresses:
-            print("route: --backends needs at least one host:port",
-                  file=sys.stderr)
-            return 2
+    from repro.router import BackendManager, RouterService
 
     manager = BackendManager()
-    if addresses is not None:
-        manager.adopt(addresses)
+    if args.backends is not None:
+        manager.adopt(args.backends)
         print(f"adopted backends:  "
               f"{', '.join(b.address for b in manager.backends.values())}",
               flush=True)
     else:
-        trace_dir = args.trace_cache or os.environ.get("REPRO_TRACE_CACHE")
-        if trace_dir == "0":
-            trace_dir = None
-        spawned = manager.spawn_local(shards, workers=workers,
-                                      trace_dir=trace_dir,
-                                      batch_window_ms=batch_window_ms)
+        # Spawned shards inherit REPRO_TRACE_CACHE when no flag is given.
+        spawned = manager.spawn_local(args.shards or 2,
+                                      workers=args.workers,
+                                      trace_dir=args.trace_cache,
+                                      batch_window_ms=args.batch_window_ms)
         print(f"spawned backends:  "
               f"{', '.join(f'{b.name}={b.address}' for b in spawned)}",
               flush=True)
@@ -1293,8 +1169,8 @@ def cmd_route(args: argparse.Namespace) -> int:
         manager,
         host=args.host,
         port=args.port,
-        replicas=replicas,
-        health_interval_s=health_interval,
+        replicas=args.replicas,
+        health_interval_s=args.health_interval,
     )
     try:
         _run_front_door("route", service, args.stats_json,
@@ -1304,44 +1180,7 @@ def cmd_route(args: argparse.Namespace) -> int:
     return 0
 
 
-_EVAL_EXIT_CODES = {"ok": 0, "timeout": 4, "shed": 3, "error": 2}
-
-
-def cmd_eval(args: argparse.Namespace) -> int:
-    """`paraverser eval`: one evaluation request against a server."""
-    import json as _json
-
-    from repro.serve.client import EvalClient
-    from repro.serve.protocol import EvalRequest
-
-    checkers = args.checkers
-    if args.backend is None and checkers is None:
-        checkers = "4xA510@2.0"  # the `run` default pool
-    request = EvalRequest(
-        workload=args.workload,
-        backend=args.backend,
-        checkers=checkers,
-        mode=args.mode,
-        hash_mode=args.hash_mode,
-        instructions=args.instructions,
-        seed=args.seed,
-        fault_trials=args.fault_trials,
-        timeout_s=args.timeout,
-    )
-    try:
-        with EvalClient(args.host, args.port) as client:
-            response = client.evaluate(request)
-    except (OSError, ConnectionError) as exc:
-        print(f"eval: cannot reach {args.host}:{args.port}: {exc}",
-              file=sys.stderr)
-        return 2
-    if not response.ok:
-        print(f"eval: {response.status}: {response.error}", file=sys.stderr)
-        return _EVAL_EXIT_CODES.get(response.status, 2)
-    row = response.result or {}
-    if args.json:
-        print(_json.dumps(row, sort_keys=True))
-        return 0
+def _print_eval_row(row: dict) -> None:
     scheme = row.get("backend") or row.get("config_label", "")
     print(f"workload:          {row.get('workload')}")
     print(f"scheme:            {scheme}")
@@ -1363,19 +1202,39 @@ def cmd_eval(args: argparse.Namespace) -> int:
             print(f"injected faults:   {injection['injected']} "
                   f"({injection['detected']} detected, "
                   f"{injection['masked']} masked)")
-    return 0
+
+
+def cmd_eval(args: argparse.Namespace) -> int:
+    """`paraverser eval`: one evaluation request against a server."""
+    from repro.serve.protocol import EvalRequest
+
+    checkers = args.checkers
+    if args.backend is None and checkers is None:
+        checkers = "4xA510@2.0"  # the `run` default pool
+    request = EvalRequest(
+        workload=args.workload,
+        backend=args.backend,
+        checkers=checkers,
+        mode=args.mode,
+        hash_mode=args.hash_mode,
+        instructions=args.instructions,
+        seed=args.seed,
+        fault_trials=args.fault_trials,
+        timeout_s=args.timeout,
+    )
+    return _remote(args, "eval", lambda client: client.evaluate(request),
+                   _print_eval_row)
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
     """`paraverser cache`: inspect or maintain the persistent trace cache."""
-    from repro.cpu.tracecache import TraceCache
+    from repro.cpu.tracecache import TraceCache, env_trace_cache
 
-    directory = args.directory or os.environ.get("REPRO_TRACE_CACHE")
-    if not directory or directory == "0":
+    tc = TraceCache(args.directory) if args.directory else env_trace_cache()
+    if tc is None:
         print("cache: no directory (pass --dir or set REPRO_TRACE_CACHE)",
               file=sys.stderr)
         return 2
-    tc = TraceCache(directory)
     if args.action == "purge":
         print(f"purged entries:    {tc.purge()}")
         return 0
@@ -1387,7 +1246,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 
 def cmd_stats_diff(args: argparse.Namespace) -> int:
-    """`paraverser stats-diff`: flag regressions between two dumps."""
+    """`paraverser stats-diff`: exact leaf-for-leaf gate between dumps."""
     from repro.obs.diff import diff_stats, load_tree, render_diff
 
     entries = diff_stats(load_tree(args.baseline),
@@ -1395,12 +1254,11 @@ def cmd_stats_diff(args: argparse.Namespace) -> int:
                          threshold=args.threshold,
                          ignore=args.ignore)
     print(render_diff(entries, show_all=args.show_all))
-    return 1 if any(entry.regression for entry in entries) else 0
+    return 1 if any(entry.changed for entry in entries) else 0
 
 
 _COMMANDS = {
     "run": cmd_run,
-    "inject": cmd_inject,
     "campaign": cmd_campaign,
     "scenarios": cmd_scenarios,
     "fleet": cmd_fleet,
@@ -1421,6 +1279,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(message)s")
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if "jobs" in args and (args.jobs is None or args.jobs <= 0):
+        # One -j rule: unset reads REPRO_JOBS, <= 0 means all CPUs.
+        from repro.harness.runner import env_jobs
+
+        args.jobs = env_jobs() if args.jobs is None else os.cpu_count() or 1
     return _COMMANDS[args.command](args)
 
 

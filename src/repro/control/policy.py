@@ -25,24 +25,17 @@ Two operating-point ladders, matching the paper's Fig. 1 spectrum:
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Protocol
 
-from repro.cpu.config import CoreInstance, CoreKind
-from repro.cpu.presets import CORE_CLASSES
-from repro.fleet.server import (
-    IN_ORDER_EFFICIENCY,
-    MAIN_THROUGHPUT,
-    MODES,
-)
+from repro.cpu.config import CoreInstance
+from repro.cpu.presets import CORE_CLASSES, parse_pool
+from repro.fleet.server import MAIN_THROUGHPUT, MODES, group_replay_rate
 from repro.power.ed2p import A510_SWEEP_GHZ
 from repro.power.energy import dynamic_energy_nj, static_energy_nj
 
 #: The big core every fleet server runs (Table I), pinned at 3 GHz.
 _MAIN = CoreInstance(config=CORE_CLASSES["X2"], freq_ghz=3.0)
-
-_CHECKER_SPEC = re.compile(r"^(\d+)x([A-Za-z0-9]+)@([\d.]+)$")
 
 
 @dataclass(frozen=True)
@@ -109,32 +102,20 @@ def fleet_energy_nj(busy_s: float, checked_s: float,
     main_inst = int(busy_ns * MAIN_THROUGHPUT)
     main_nj = (dynamic_energy_nj(_MAIN.config, _MAIN.voltage, main_inst)
                + static_energy_nj(_MAIN.config, _MAIN.voltage, busy_ns))
-    if checked_s <= 0.0 or checkers.strip().lower() == "none":
+    groups = parse_pool(checkers) if checked_s > 0.0 else []
+    if not groups:
         return main_nj, 0.0
-    groups = []  # (count, config, instance, throughput inst/ns)
-    for part in checkers.split(","):
-        match = _CHECKER_SPEC.match(part.strip())
-        if not match:
-            raise ValueError(
-                f"bad checker spec {part!r}; expected e.g. 2xA510@2.0")
-        count, name, freq = match.groups()
-        config = CORE_CLASSES[name]
-        efficiency = 1.0 if config.kind == CoreKind.OUT_OF_ORDER \
-            else IN_ORDER_EFFICIENCY
-        instance = CoreInstance(config=config, freq_ghz=float(freq))
-        groups.append((int(count), config, instance,
-                       int(count) * config.width * float(freq)
-                       * efficiency))
-    pool_rate = sum(g[3] for g in groups)
+    rates = [group_replay_rate(*group) for group in groups]
+    pool_rate = sum(rates)
     checked_inst = checked_s * 1e9 * MAIN_THROUGHPUT
     replay_ns = checked_inst / pool_rate if pool_rate else 0.0
     checker_nj = 0.0
-    for count, config, instance, rate in groups:
+    for (count, config, ghz), rate in zip(groups, rates):
+        voltage = CoreInstance(config=config, freq_ghz=ghz).voltage
         share = int(checked_inst * (rate / pool_rate))
-        checker_nj += dynamic_energy_nj(config, instance.voltage, share,
+        checker_nj += dynamic_energy_nj(config, voltage, share,
                                         checker_mode=True)
-        checker_nj += static_energy_nj(config, instance.voltage,
-                                       replay_ns * count)
+        checker_nj += static_energy_nj(config, voltage, replay_ns * count)
     return main_nj, checker_nj
 
 

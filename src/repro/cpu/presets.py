@@ -15,7 +15,9 @@ mechanism behind bwaves' behaviour in Figs. 6-8.
 
 from __future__ import annotations
 
-from repro.cpu.config import CoreConfig, CoreKind, FUConfig
+import re
+
+from repro.cpu.config import CoreConfig, CoreInstance, CoreKind, FUConfig
 from repro.isa.instructions import FUKind
 from repro.mem.cache import CacheConfig
 from repro.mem.dram import DramConfig
@@ -157,3 +159,53 @@ A35 = CoreConfig(
 )
 
 CORE_CLASSES = {"X2": X2, "A510": A510, "A35": A35}
+
+#: One pool group: ``<count>x<core class>@<GHz>``.
+_POOL_GROUP = re.compile(r"^(\d+)x([A-Za-z0-9]+)@([\d.]+)$")
+
+
+class PoolSpecError(ValueError):
+    """A checker-pool spec that does not parse (grammar, class, empty)."""
+
+
+def parse_pool(spec: str) -> list[tuple[int, CoreConfig, float]]:
+    """Parse a pool spec into ``(count, core config, GHz)`` groups.
+
+    ``spec`` is comma-joined groups such as ``"4xA510@2.0,1xX2@3.0"``.
+    ``"none"`` (checking switched off, as the fleet and control models
+    allow) parses to no groups; any other spec must name at least one
+    core.  Frequencies are not range-checked here: building a
+    :class:`CoreInstance` does that.
+    """
+    if spec.strip().lower() == "none":
+        return []
+    groups = []
+    for part in spec.split(","):
+        match = _POOL_GROUP.match(part.strip())
+        if not match:
+            raise PoolSpecError(
+                f"bad checker spec {part!r}; expected e.g. 4xA510@2.0")
+        count, name, freq = match.groups()
+        config = CORE_CLASSES.get(name)
+        if config is None:
+            raise PoolSpecError(
+                f"unknown core class {name!r}; known: {sorted(CORE_CLASSES)}")
+        groups.append((int(count), config, float(freq)))
+    if not any(count for count, _, _ in groups):
+        raise PoolSpecError(f"empty checker specification {spec!r}")
+    return groups
+
+
+def pool_instances(spec: str) -> list[CoreInstance]:
+    """One :class:`CoreInstance` per checker core of a checked run.
+
+    Raises :class:`PoolSpecError` for a spec that does not parse or
+    names no checker (``"none"``), and :class:`ValueError` for a
+    frequency outside the core class's DVFS range.
+    """
+    instances: list[CoreInstance] = []
+    for count, config, ghz in parse_pool(spec):
+        instances.extend([CoreInstance(config, ghz)] * count)
+    if not instances:
+        raise PoolSpecError(f"a checked run needs checkers, got {spec!r}")
+    return instances

@@ -1,11 +1,11 @@
-"""Friendly parsing for ``REPRO_*`` environment knobs and CLI numerics.
+"""Friendly parsing for ``REPRO_*`` environment knobs.
 
 Scale knobs are set by hand in shells and CI files, where a stray
-``REPRO_JOBS=four`` or ``--servers four`` is easy to type.  A bare
-``ValueError`` traceback from deep inside a runner hides which knob was
-wrong; :func:`parse_int`/:func:`parse_float` fail with a one-line
-message naming the knob and the offending value instead, and
-:func:`env_int` applies the same contract to environment variables.
+``REPRO_JOBS=four`` is easy to type.  A bare ``ValueError`` traceback
+from deep inside a runner hides which knob was wrong;
+:func:`env_int`/:func:`env_float` fail with a one-line message naming
+the knob and the offending value instead.  (CLI flags get the same
+contract from their argparse types in :mod:`repro.cli`.)
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ def parse_int(name: str, raw: str | None, default: int) -> int:
 
     Exits (via :class:`SystemExit`, so no traceback reaches the
     terminal) when ``raw`` is not an integer; ``None``/empty falls back
-    to ``default``.  ``name`` is whatever the user typed the value
-    against — an environment variable or a CLI flag.
+    to ``default``.  ``name`` is the knob the value came from.
     """
     if raw is None or raw == "":
         return default
@@ -52,14 +51,3 @@ def env_float(name: str, default: float) -> float:
     """``float(os.environ[name])`` with a one-line failure mode."""
     return parse_float(name, os.environ.get(name), default)
 
-
-def parse_choice(name: str, raw: str | None, default: str,
-                 choices: tuple[str, ...]) -> str:
-    """Validate an enumerated knob with a one-line failure mode."""
-    if raw is None or raw == "":
-        return default
-    if raw not in choices:
-        raise SystemExit(
-            f"{name}={raw!r} is not one of {', '.join(choices)}; "
-            f"unset it or use e.g. {name}={default}")
-    return raw

@@ -321,8 +321,8 @@ def _substrate(spec: CampaignSpec) -> _Substrate:
         if ctx.substrate.key == key:
             return ctx.substrate
 
-    from repro.cli import parse_checkers
     from repro.core.system import CheckMode, ParaVerserSystem
+    from repro.cpu.presets import pool_instances
     from repro.faults.campaign import (
         GoldenStream,
         checker_fu_counts,
@@ -332,7 +332,7 @@ def _substrate(spec: CampaignSpec) -> _Substrate:
     from repro.harness.runner import make_config
 
     cache = worker_cache(spec.instructions, spec.seed)
-    config = make_config(parse_checkers(spec.checkers),
+    config = make_config(pool_instances(spec.checkers),
                          CheckMode(spec.mode),
                          hash_mode=spec.hash_mode)
     cached = cache.get(spec.workload)

@@ -25,12 +25,10 @@ simulator controls, so the model is exact, not time-stepped.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
-from repro.cpu.presets import CORE_CLASSES
-
-_CHECKER_SPEC = re.compile(r"^(\d+)x([A-Za-z0-9]+)@([\d.]+)$")
+from repro.cpu.config import CoreConfig, CoreKind
+from repro.cpu.presets import CORE_CLASSES, parse_pool
 
 #: In-order cores sustain a lower fraction of their issue width than the
 #: big out-of-order core; 0.6 calibrates a single 2 GHz A510 to roughly
@@ -41,40 +39,27 @@ IN_ORDER_EFFICIENCY = 0.6
 MAIN_THROUGHPUT = CORE_CLASSES["X2"].width * 3.0
 
 
+def group_replay_rate(count: int, config: CoreConfig, ghz: float) -> float:
+    """Replay throughput of one pool group, in instructions per ns.
+
+    Issue width times frequency, derated by :data:`IN_ORDER_EFFICIENCY`
+    for in-order cores — the same presets the cycle-level model uses,
+    collapsed to one number for the fleet timescale.
+    """
+    efficiency = 1.0 if config.kind == CoreKind.OUT_OF_ORDER \
+        else IN_ORDER_EFFICIENCY
+    return count * config.width * ghz * efficiency
+
+
 def checker_relative_rate(spec: str) -> float:
     """Checker-pool replay throughput relative to the main core.
 
-    ``spec`` is the CLI checker syntax (``"2xA510@2.0"``, comma-joined
-    groups allowed).  Per class, throughput scales with issue width and
-    frequency, derated by :data:`IN_ORDER_EFFICIENCY` for in-order
-    cores — the same presets the cycle-level model uses, collapsed to
-    one number for the fleet timescale.
+    ``spec`` is a pool spec (:func:`repro.cpu.presets.parse_pool`);
+    ``"none"`` — checking disabled, e.g. peak-load hours in the role
+    scheduler — replays nothing, which only opportunistic mode accepts.
     """
-    from repro.cpu.config import CoreKind
-
-    if spec.strip().lower() == "none":
-        # Checking disabled (e.g. peak-load hours in the role
-        # scheduler): the pool replays nothing, only valid with
-        # opportunistic mode where every request runs unchecked.
-        return 0.0
-    total = 0.0
-    for part in spec.split(","):
-        match = _CHECKER_SPEC.match(part.strip())
-        if not match:
-            raise ValueError(
-                f"bad checker spec {part!r}; expected e.g. 2xA510@2.0")
-        count, name, freq = match.groups()
-        config = CORE_CLASSES.get(name)
-        if config is None:
-            raise ValueError(
-                f"unknown core class {name!r}; known: "
-                f"{sorted(CORE_CLASSES)}")
-        efficiency = 1.0 if config.kind == CoreKind.OUT_OF_ORDER \
-            else IN_ORDER_EFFICIENCY
-        total += int(count) * config.width * float(freq) * efficiency
-    if total <= 0.0:
-        raise ValueError(f"empty checker specification {spec!r}")
-    return total / MAIN_THROUGHPUT
+    return sum(group_replay_rate(*group)
+               for group in parse_pool(spec)) / MAIN_THROUGHPUT
 
 
 #: The checking modes a server can run in (Fig. 1's spectrum).

@@ -1,18 +1,21 @@
-"""Compare two ``--stats-json`` dumps and flag regressions.
+"""Compare two ``--stats-json`` dumps leaf for leaf.
 
 ``paraverser run --stats-json`` (and ``paraverser serve --stats-json``)
 emit stable trees, so two dumps of the same scenario are directly
-comparable.  :func:`diff_stats` walks both trees and classifies every
-shared numeric leaf by direction:
+comparable.  :func:`diff_stats` walks both trees and reports every
+numeric leaf that is not masked by an ``ignore`` glob.  The gate rule
+is exact: a leaf that changed, or that only one tree has, is a
+mismatch (:attr:`DiffEntry.changed`).
+
+Each leaf is also classified by direction, which labels a change:
 
 * **higher-is-worse** — per-stage wall times (``*.wall_time_ms``),
   stalls (``*.stall_ns``), slowdown, latencies;
 * **lower-is-worse** — cache hit rates (derived from sibling
   ``hits``/``misses`` counters), checker occupancy, coverage.
 
-A leaf regresses when it moves in its bad direction by more than the
-relative ``threshold``.  Unclassified leaves are reported as
-informational only and never regress.
+A leaf is labelled a regression when it moves in its bad direction by
+more than the relative ``threshold``.
 """
 
 from __future__ import annotations
@@ -62,14 +65,24 @@ class DiffEntry:
     """One compared leaf."""
 
     key: str
-    a: float
-    b: float
+    #: Baseline value; None when only the candidate has the leaf.
+    a: float | None
+    #: Candidate value; None when only the baseline has the leaf.
+    b: float | None
     #: +1: higher is worse, -1: lower is worse, 0: informational.
     direction: int
     regression: bool
 
     @property
+    def changed(self) -> bool:
+        """The exact gate: any difference, including an added or a
+        removed leaf."""
+        return self.a != self.b
+
+    @property
     def rel_change(self) -> float:
+        if self.a is None or self.b is None:
+            return math.nan
         if self.a == 0:
             return math.inf if self.b != 0 else 0.0
         return (self.b - self.a) / abs(self.a)
@@ -129,8 +142,8 @@ def classify(key: str) -> int:
 def diff_stats(tree_a: dict, tree_b: dict,
                threshold: float = 0.10,
                ignore: Sequence[str] = ()) -> list[DiffEntry]:
-    """Compare two trees; entries for every shared, changed-or-directional
-    leaf, regressions first.
+    """Compare two trees; one entry per unmasked leaf of either tree,
+    regressions first, then changed leaves.
 
     ``ignore`` holds ``fnmatch`` glob patterns over dotted leaf names;
     matching leaves are excluded entirely.  The standard use is
@@ -142,14 +155,14 @@ def diff_stats(tree_a: dict, tree_b: dict,
     _derive_hit_rates(flat_a)
     _derive_hit_rates(flat_b)
     entries: list[DiffEntry] = []
-    for key in sorted(set(flat_a) & set(flat_b)):
+    for key in sorted(set(flat_a) | set(flat_b)):
         if any(fnmatch.fnmatchcase(key, pattern) for pattern in ignore):
             continue
-        a, b = flat_a[key], flat_b[key]
+        a, b = flat_a.get(key), flat_b.get(key)
         direction = classify(key)
-        if direction == 0 and a == b:
-            continue
-        if direction > 0:
+        if a is None or b is None:
+            regression = False
+        elif direction > 0:
             regression = b > a * (1.0 + threshold) \
                 if a != 0 else b > threshold
         elif direction < 0:
@@ -158,27 +171,31 @@ def diff_stats(tree_a: dict, tree_b: dict,
             regression = False
         entries.append(DiffEntry(key=key, a=a, b=b, direction=direction,
                                  regression=regression))
-    entries.sort(key=lambda e: (not e.regression, e.key))
+    entries.sort(key=lambda e: (not e.regression, not e.changed, e.key))
     return entries
 
 
 def render_diff(entries: list[DiffEntry],
                 show_all: bool = False) -> str:
-    """Human-readable table; regressions always shown, the rest only
-    with ``show_all`` (directional leaves are shown when changed)."""
+    """Human-readable table of the changed leaves (every leaf with
+    ``show_all``), closed by the regression and mismatch counts."""
     lines = [f"{'leaf':48s} {'A':>14s} {'B':>14s} {'change':>9s}  flag"]
     for entry in entries:
-        changed = entry.a != entry.b
-        if not (entry.regression or show_all
-                or (entry.direction != 0 and changed)):
+        if not (entry.changed or show_all):
             continue
         rel = entry.rel_change
-        change = "inf" if math.isinf(rel) else f"{rel * 100:+.1f}%"
+        change = ("added" if entry.a is None
+                  else "removed" if entry.b is None
+                  else "inf" if math.isinf(rel) else f"{rel * 100:+.1f}%")
         flag = "REGRESSION" if entry.regression else (
             {1: "higher-worse", -1: "lower-worse"}.get(entry.direction, ""))
-        lines.append(f"{entry.key:48s} {entry.a:14.6g} {entry.b:14.6g} "
+        a = "-" if entry.a is None else f"{entry.a:.6g}"
+        b = "-" if entry.b is None else f"{entry.b:.6g}"
+        lines.append(f"{entry.key:48s} {a:>14s} {b:>14s} "
                      f"{change:>9s}  {flag}")
     regressions = sum(e.regression for e in entries)
-    lines.append(f"{regressions} regression(s) across "
-                 f"{len(entries)} compared leaves")
+    mismatches = sum(e.changed for e in entries)
+    lines.append(f"{regressions} regression(s), {mismatches} changed, "
+                 f"added or removed leaves across {len(entries)} "
+                 f"compared leaves")
     return "\n".join(lines)

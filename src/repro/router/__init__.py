@@ -7,11 +7,7 @@ health-checked failover re-dispatch and exact campaign fan-out.  See
 ``docs/architecture.md`` ("Shard router") and ``paraverser route``.
 """
 
-from repro.router.backends import (
-    Backend,
-    BackendManager,
-    parse_backend_address,
-)
+from repro.router.backends import Backend, BackendManager
 from repro.router.ring import DEFAULT_REPLICAS, HashRing, hash_key
 from repro.router.service import (
     RUNTIME_ROW_KEYS,
@@ -28,5 +24,4 @@ __all__ = [
     "RUNTIME_ROW_KEYS",
     "hash_key",
     "merge_campaign_rows",
-    "parse_backend_address",
 ]

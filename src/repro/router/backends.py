@@ -56,30 +56,6 @@ class Backend:
         return f"{self.host}:{self.port}"
 
 
-def parse_backend_address(raw: str) -> tuple[str, int]:
-    """``host:port`` -> pair; SystemExit with a one-line message on junk.
-
-    Mirrors the :mod:`repro.envutil` contract for CLI numerics: a typo
-    in ``--backends`` fails with one actionable line, not a traceback.
-    """
-    host, sep, port = raw.rpartition(":")
-    if not sep or not host:
-        raise SystemExit(
-            f"--backends entry {raw!r} is not host:port; "
-            f"use e.g. 127.0.0.1:8347")
-    try:
-        port_num = int(port)
-    except ValueError:
-        raise SystemExit(
-            f"--backends entry {raw!r} has a non-integer port; "
-            f"use e.g. {host}:8347") from None
-    if not 0 < port_num < 65536:
-        raise SystemExit(
-            f"--backends entry {raw!r} has an out-of-range port; "
-            f"ports are 1..65535")
-    return host, port_num
-
-
 class BackendManager:
     """Owns the shard set: spawning, adoption, teardown, health flips."""
 

@@ -89,6 +89,8 @@ class EvalRequest:
         if (self.backend is None) == (self.checkers is None):
             raise ProtocolError(
                 "eval request needs exactly one of backend/checkers")
+        if self.checkers is not None and not isinstance(self.checkers, str):
+            raise ProtocolError("checkers must be a pool spec string")
         if self.instructions <= 0:
             raise ProtocolError("instructions must be positive")
         if self.fault_trials < 0:

@@ -197,8 +197,10 @@ class LineServer:
 
     @staticmethod
     def _admit(payload: dict) -> EvalRequest | CampaignRequest:
-        """Decode an eval or campaign op and reject unknown workloads
-        and backends at admission, not in a worker."""
+        """Decode an eval or campaign op and reject unknown workloads,
+        backends, pool specs and modes at admission, not in a worker."""
+        from repro.core.simconfig import CheckMode
+        from repro.cpu.presets import pool_instances
         from repro.detect import backend_names
         from repro.workloads.profiles import ALL_PROFILES
 
@@ -213,6 +215,12 @@ class LineServer:
             raise ProtocolError(
                 f"unknown detection backend {request.backend!r}; "
                 f"known: {', '.join(backend_names())}")
+        try:
+            if request.checkers is not None:
+                pool_instances(request.checkers)
+            CheckMode(request.mode)
+        except ValueError as exc:
+            raise ProtocolError(str(exc)) from None
         return request
 
     # -- stats -------------------------------------------------------------

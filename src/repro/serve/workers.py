@@ -77,11 +77,11 @@ def _campaign_row(cache, workload: str, config, trials: int,
 
 def _config_for_spec(spec: dict):
     """Build a ParaVerserConfig from a checkers-spec request."""
-    from repro.cli import parse_checkers
     from repro.core.system import CheckMode
+    from repro.cpu.presets import pool_instances
     from repro.harness.runner import make_config
 
-    return make_config(parse_checkers(spec["checkers"]),
+    return make_config(pool_instances(spec["checkers"]),
                        CheckMode(spec["mode"]),
                        hash_mode=bool(spec["hash_mode"]))
 

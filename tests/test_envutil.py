@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.envutil import (
-    env_float,
-    env_int,
-    parse_choice,
-    parse_float,
-    parse_int,
-)
+from repro.envutil import env_float, env_int, parse_float, parse_int
 from repro.harness.runner import env_instructions, env_jobs, env_trials
 from repro.pipeline.executor import env_stage_jobs
 
@@ -53,7 +47,7 @@ def test_runner_knobs_fail_with_one_liner(monkeypatch, variable, parser):
 
 
 class TestParseHelpers:
-    """CLI flags share the env-var contract (used by `paraverser fleet`)."""
+    """The parsers behind env_int/env_float name the knob on failure."""
 
     def test_parse_int_accepts_value_and_default(self):
         assert parse_int("--servers", "12", 8) == 12
@@ -76,23 +70,6 @@ class TestParseHelpers:
             parse_float("--duration", "2s", 2.0)
         message = str(excinfo.value)
         assert "--duration" in message and "2s" in message
-
-    def test_parse_choice_accepts_member_and_default(self):
-        choices = ("threshold", "ed2p_budget", "scheduler")
-        assert parse_choice("--policy", "scheduler", "threshold",
-                            choices) == "scheduler"
-        assert parse_choice("--policy", None, "threshold",
-                            choices) == "threshold"
-        assert parse_choice("--policy", "", "threshold",
-                            choices) == "threshold"
-
-    def test_parse_choice_lists_the_choices(self):
-        with pytest.raises(SystemExit) as excinfo:
-            parse_choice("--policy", "pid", "threshold",
-                         ("threshold", "scheduler"))
-        message = str(excinfo.value)
-        assert "--policy" in message and "pid" in message
-        assert "threshold" in message and "scheduler" in message
 
 
 class TestEnvFloat:

@@ -204,3 +204,50 @@ class TestSharedSubstrate:
         for spec in second:
             run_trial_in_worker(spec, 0)
         assert set(engine._CONTEXTS) == {spec.key() for spec in second}
+
+
+#: (workload, pool, instructions, seed, trials): single- and multi-group
+#: pools, a down-clocked checker, several seeds.
+ORACLE_CASES = [
+    ("exchange2", "1xA510@1.0", 6000, 7, 12),
+    ("mcf", "2xA510@1.0", 10_000, 3, 10),
+    ("gcc", "1xA510@0.5", 10_000, 5, 10),
+    ("deepsjeng", "1xA510@1.0,1xX2@2.0", 10_000, 5, 10),
+]
+
+
+@pytest.mark.parametrize("workload,pool,instructions,seed,trials",
+                         ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+def test_fault_campaign_run_matches_the_engine(workload, pool, instructions,
+                                               seed, trials):
+    """Differential oracle: ``FaultCampaign.run`` (what Fig. 8, ``eval
+    --fault-trials`` and the examples use) equals the campaign engine
+    with a stuck-at-only mix, record for record."""
+    from repro.core.system import CheckMode, ParaVerserConfig, \
+        ParaVerserSystem
+    from repro.cpu.config import CoreInstance
+    from repro.cpu.presets import X2, pool_instances
+    from repro.faults.campaign import FaultCampaign, covered_segments
+    from repro.workloads.generator import build_program
+    from repro.workloads.profiles import get_profile
+
+    program = build_program(get_profile(workload), seed=seed)
+    config = ParaVerserConfig(main=CoreInstance(X2, 3.0),
+                              checkers=pool_instances(pool),
+                              mode=CheckMode.OPPORTUNISTIC, seed=seed)
+    system = ParaVerserSystem(config)
+    run = system.execute(program, max_instructions=instructions)
+    result = system.run(program, run_result=run)
+    direct = FaultCampaign(program, system.segment(run),
+                           config.checkers[0].config).run(
+        trials, seed=seed, covered=covered_segments(result),
+        kinds=("stuck_at",))
+
+    engine = run_campaign(CampaignSpec(
+        workload=workload, checkers=pool, instructions=instructions,
+        seed=seed, trials=trials, fault_kinds=("stuck_at",)), jobs=1)
+
+    assert [(t.trial, t.fault.describe(), t.detected, t.masked,
+             t.detection_instruction) for t in direct.trials] == \
+        [(r.trial, r.fault, r.detected, r.masked, r.detection_instruction)
+         for r in engine.records]

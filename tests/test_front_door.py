@@ -50,6 +50,29 @@ ROWS = [
     ("campaign-unknown-workload",
      b'{"op":"campaign","request_id":"c1","workload":"doom"}\n', "c1",
      "unknown workload 'doom'"),
+    ("eval-bad-pool-spec",
+     b'{"op":"eval","request_id":"e2","workload":"exchange2",'
+     b'"checkers":"bogus"}\n', "e2", "bad checker spec 'bogus'"),
+    ("eval-unknown-core",
+     b'{"op":"eval","request_id":"e3","workload":"exchange2",'
+     b'"checkers":"1xM1@3.0"}\n', "e3", "unknown core class 'M1'"),
+    ("eval-unknown-mode",
+     b'{"op":"eval","request_id":"e4","workload":"exchange2",'
+     b'"checkers":"1xA510@2.0","mode":"sometimes"}\n', "e4",
+     "'sometimes' is not a valid CheckMode"),
+    ("eval-non-string-pool-spec",
+     b'{"op":"eval","request_id":"e5","workload":"exchange2",'
+     b'"checkers":4}\n', "e5", "checkers must be a pool spec string"),
+    ("campaign-bad-pool-spec",
+     b'{"op":"campaign","request_id":"c2","workload":"exchange2",'
+     b'"checkers":"bogus"}\n', "c2", "bad checker spec 'bogus'"),
+    ("campaign-unknown-core",
+     b'{"op":"campaign","request_id":"c3","workload":"exchange2",'
+     b'"checkers":"1xM1@3.0"}\n', "c3", "unknown core class 'M1'"),
+    ("campaign-unknown-mode",
+     b'{"op":"campaign","request_id":"c4","workload":"exchange2",'
+     b'"mode":"sometimes"}\n', "c4",
+     "'sometimes' is not a valid CheckMode"),
     ("non-utf8", b"\xff\xfe\n", "", "non-UTF-8 wire message"),
     ("empty-line", b"\n", "", "bad JSON on the wire"),
 ]

@@ -124,13 +124,40 @@ class TestCli:
         assert main(["stats-diff", str(a), str(b)]) == 1
         assert "REGRESSION" in capsys.readouterr().out
 
-    def test_threshold_is_configurable(self, dumps):
+    def test_threshold_is_configurable(self, dumps, capsys):
+        """--threshold only labels a change; any change still fails."""
         a, b = dumps
         b.write_text(json.dumps(_tree(wall=12.0)))
         assert main(["stats-diff", str(a), str(b),
-                     "--threshold", "0.5"]) == 0
+                     "--threshold", "0.5"]) == 1
+        out = capsys.readouterr().out
+        assert "REGRESSION" not in out and "higher-worse" in out
+        assert "0 regression(s)" in out
         assert main(["stats-diff", str(a), str(b),
                      "--threshold", "0.05"]) == 1
+        assert "REGRESSION" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mutate,marker", [
+        (lambda tree: tree["faults"].update(injected=11), "+10.0%"),
+        (lambda tree: tree["faults"].update(extra=1), "added"),
+        (lambda tree: tree["faults"].pop("detected"), "removed"),
+    ], ids=["changed", "added", "removed"])
+    def test_any_leaf_mismatch_fails(self, tmp_path, capsys, mutate,
+                                     marker):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        golden = {"faults": {"injected": 10, "detected": 7}}
+        a.write_text(json.dumps(golden))
+        candidate = json.loads(json.dumps(golden))
+        mutate(candidate)
+        b.write_text(json.dumps(candidate))
+        assert main(["stats-diff", str(a), str(b)]) == 1
+        out = capsys.readouterr().out
+        assert marker in out
+        assert "1 changed, added or removed" in out
+        # Masking the leaf's group restores a clean gate.
+        assert main(["stats-diff", str(a), str(b),
+                     "--ignore", "faults.*"]) == 0
 
     def test_real_stats_dump_diffs_cleanly(self, tmp_path, capsys):
         a = tmp_path / "runA.json"
@@ -140,10 +167,10 @@ class TestCli:
                          "-n", "6000", "--stats-json", str(path)])
             assert code == 0
         capsys.readouterr()
-        # Simulated outcomes are bit-identical; only wall-clock gauges
-        # move, and they may move in either direction.  The tool must
-        # parse real dumps and compare every simulated leaf cleanly.
-        code = main(["stats-diff", str(a), str(b), "--threshold", "1e9"])
+        # Simulated outcomes are bit-identical; only the pipeline.*
+        # wall-clock gauges move.  With those masked, every other leaf
+        # of two real dumps must compare exactly.
+        code = main(["stats-diff", str(a), str(b), "--ignore", "pipeline.*"])
         assert code == 0
 
 
