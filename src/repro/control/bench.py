@@ -14,8 +14,8 @@ The paper's claim (section I / Fig. 1) is that the control plane makes
 the trade a *schedule* instead of a choice: full coverage off-peak,
 degraded coverage only while the peak lasts.  Won means the controlled
 point dominates always-full on p99 *and* always-opportunistic on
-coverage simultaneously; ``BENCH_throughput.json`` records the measured
-frontier and CI gates the controlled cell's stats.
+coverage simultaneously; EXPERIMENTS.md records the measured frontier
+and CI gates the controlled cell's stats.
 """
 
 from __future__ import annotations

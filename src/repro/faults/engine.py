@@ -4,8 +4,8 @@ Campaigns are the one evaluation path where the paper's experiment is
 embarrassingly parallel *within* a single workload: every trial replays
 the same segments under an independent fault.  The
 :class:`CampaignRunner` fans trials out over the sweep engine's process
-pool (:mod:`repro.harness.parallel`), one picklable ``(spec, trial)``
-task each, and merges results as they land.
+pool (:mod:`repro.harness.parallel`) as picklable ``(spec, trial
+chunk)`` tasks, and merges results as they land.
 
 Determinism does not depend on scheduling.  Trial ``t``'s fault is a
 pure function of ``(spec.seed, t)`` via
@@ -491,8 +491,6 @@ class CampaignRunner:
         self.resume = resume
         #: Trials per pool task; ``None`` auto-sizes from the workload.
         self.chunk = chunk
-        #: Occupancy/wall-time record of the most recent :meth:`run`.
-        self.last_stats: dict | None = None
         self._pool = None
 
     def _chunk_size(self, todo: int) -> int:
@@ -530,7 +528,7 @@ class CampaignRunner:
 
         records = dict(completed)
         records.update(fresh)
-        outcome = CampaignOutcome(
+        return CampaignOutcome(
             spec=spec,
             records=[records[t] for t in sorted(records)
                      if t in window],
@@ -539,17 +537,6 @@ class CampaignRunner:
             jobs=self.jobs,
             resumed_trials=resumed,
         )
-        chunk = self._chunk_size(len(todo)) if todo else 1
-        self.last_stats = {
-            "jobs": self.jobs,
-            "tasks": len(todo),
-            "chunk": chunk,
-            "elapsed_s": elapsed,
-            "busy_s": busy,
-            "occupancy": busy / (elapsed * self.jobs)
-            if elapsed > 0 and self.jobs > 0 else 0.0,
-        }
-        return outcome
 
     def _run_serial(self, spec, todo, on_record):
         records: dict[int, TrialRecord] = {}

@@ -434,11 +434,9 @@ def run_cell(config: FleetTrafficConfig, reps: int = 1,
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        from repro.harness.parallel import _fleet_rep_task
-
         payload = config.to_json()
         with ProcessPoolExecutor(max_workers=min(jobs, reps)) as pool:
-            futures = {rep: pool.submit(_fleet_rep_task, payload, rep)
+            futures = {rep: pool.submit(run_replication, payload, rep)
                        for rep in range(reps)}
             for rep in range(reps):
                 results[rep] = _result_from_payload(config,

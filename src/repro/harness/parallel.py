@@ -2,46 +2,40 @@
 
 Figure benchmarks are embarrassingly parallel across benchmarks: every
 cell shares nothing but the functional trace of its own benchmark.  The
-:class:`SweepRunner` fans work across a ``ProcessPoolExecutor`` at
-*stage* granularity: one **trace task** per benchmark (functional run +
-segmentation input), then — as each trace lands — one **cell task** per
-configuration, carrying the traced run as a
-:func:`~repro.cpu.traceio.run_to_payload` artifact.  Benchmark B's
-trace computes while benchmark A's configurations are still in their
-timing/schedule stages, so a pool wider than the benchmark count stays
-busy (the ``jobs > #benchmarks`` idle-core cliff of the old
-benchmark-granular grouping).
+:class:`SweepRunner` fans work across a ``ProcessPoolExecutor`` as
+``(benchmark, contiguous chunk of that benchmark's configs)`` tasks
+(:func:`plan_chunks`).  Each benchmark is cut into
+``min(#configs, ceil(jobs / #benchmarks))`` near-even chunks, so with
+at least as many benchmarks as workers every task is one whole
+benchmark, and a pool wider than the benchmark count still gives every
+worker configs of its own.  Every task builds (or reuses) its trace
+from the worker's own :func:`worker_cache`; no trace crosses a process
+boundary.
 
-Determinism is unchanged from the grouped engine:
+Determinism does not depend on the schedule:
 
 * **Trace reuse** — each worker keeps a bounded process-global
-  :class:`~repro.harness.runner.WorkloadCache`; a handed-off trace is
-  adopted via :meth:`~repro.harness.runner.WorkloadCache.adopt_run`, and
-  the payload round-trip is the same serialization the persistent trace
-  cache uses (bit-identical downstream numbers, see
-  ``tests/test_cpu_traceio.py``).
+  :class:`~repro.harness.runner.WorkloadCache`, so a worker that sees
+  the same benchmark twice never re-runs its trace, and the trace is a
+  pure function of ``(benchmark, budget, seed)`` wherever it is built.
 * **Baseline independence** — the unchecked baseline is cached per
   ``(main core, NoC)`` pair purely as a speed win: with zero checker
   traffic its mesh contribution has zero rate, so whichever config
-  computes it first gets the same numbers.  Cells of one benchmark may
-  therefore run on different workers (each computes the baseline at most
-  once) without perturbing results.
+  computes it first gets the same numbers.  Chunks of one benchmark
+  may therefore run on different workers (each computes the baseline
+  at most once) without perturbing results.
 * **Input-order merge** — results are placed by original cell index, so
   ``jobs=N`` output is bit-identical to ``jobs=1``.
 
-``REPRO_STAGE_OVERLAP=0`` restores the old one-task-per-benchmark
-grouping (kept for occupancy comparisons; see
-``benchmarks/test_bench_throughput.py``).  With ``jobs=1`` (the
-default, via ``REPRO_JOBS``) no pool is created and everything runs
-in-process.
+With ``jobs=1`` (the default, via ``REPRO_JOBS``) no pool is created
+and everything runs in-process.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from collections import OrderedDict
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from repro.core.system import ParaVerserConfig, SystemResult
@@ -84,61 +78,38 @@ def worker_cache(max_instructions: int, seed: int):
     return cache
 
 
-def env_stage_overlap() -> bool:
-    """REPRO_STAGE_OVERLAP: stage-granular sweep tasks (default on)."""
-    return os.environ.get("REPRO_STAGE_OVERLAP", "1") != "0"
+def plan_chunks(benchmarks: list[str],
+                jobs: int) -> list[tuple[str, list[int]]]:
+    """Split a sweep into ``(benchmark, cell indices)`` tasks.
+
+    ``benchmarks`` names each cell's benchmark, in cell order.  Each
+    benchmark's cells (in cell order, first-seen benchmark first) are
+    cut into ``min(#configs, ceil(jobs / #benchmarks))`` contiguous
+    chunks whose sizes differ by at most one.
+    """
+    groups: dict[str, list[int]] = {}
+    for index, benchmark in enumerate(benchmarks):
+        groups.setdefault(benchmark, []).append(index)
+    per_benchmark = -(-jobs // max(1, len(groups)))
+    tasks = []
+    for benchmark, indices in groups.items():
+        parts = min(len(indices), per_benchmark)
+        size, extra = divmod(len(indices), parts)
+        start = 0
+        for part in range(parts):
+            end = start + size + (part < extra)
+            tasks.append((benchmark, indices[start:end]))
+            start = end
+    return tasks
 
 
 # -- worker entry points -----------------------------------------------------
 
 def _run_group(benchmark: str, configs: list[ParaVerserConfig],
-               max_instructions: int,
-               seed: int) -> tuple[list[SystemResult], float]:
-    """Benchmark-granular entry point: run one benchmark's configs."""
+               max_instructions: int, seed: int) -> list[SystemResult]:
+    """Run one chunk of one benchmark's configs, in order."""
     cache = worker_cache(max_instructions, seed)
-    start = time.perf_counter()
-    results = [cache.run_config(benchmark, config) for config in configs]
-    return results, time.perf_counter() - start
-
-
-def _trace_task(benchmark: str, max_instructions: int,
-                seed: int) -> tuple[dict, float]:
-    """Stage entry point: produce one benchmark's functional trace."""
-    from repro.cpu.traceio import run_to_payload
-
-    cache = worker_cache(max_instructions, seed)
-    start = time.perf_counter()
-    cached = cache.get(benchmark)
-    return run_to_payload(cached.run), time.perf_counter() - start
-
-
-def _cell_task(benchmark: str, config: ParaVerserConfig,
-               max_instructions: int, seed: int,
-               run_payload: dict) -> tuple[SystemResult, float]:
-    """Stage entry point: evaluate one cell against a handed-off trace."""
-    from repro.cpu.traceio import run_from_payload
-
-    cache = worker_cache(max_instructions, seed)
-    start = time.perf_counter()
-    cache.adopt_run(benchmark, run_from_payload(run_payload))
-    result = cache.run_config(benchmark, config)
-    return result, time.perf_counter() - start
-
-
-def _campaign_trial_task(spec_payload: dict, trial: int,
-                         shard_dir: str | None) -> tuple[dict, float]:
-    """Stage entry point: run one fault-injection campaign trial.
-
-    The heavy per-spec state (trace, segments, coverage) is built once
-    per process by the engine's context cache, on top of the same
-    :func:`worker_cache` the sweep and serve tasks share.
-    """
-    from repro.faults.engine import CampaignSpec, run_trial_in_worker
-
-    start = time.perf_counter()
-    record = run_trial_in_worker(CampaignSpec.from_json(spec_payload),
-                                 trial, shard_dir)
-    return record, time.perf_counter() - start
+    return [cache.run_config(benchmark, config) for config in configs]
 
 
 def _campaign_chunk_task(spec_payload: dict, trials: list[int],
@@ -161,32 +132,13 @@ def _campaign_chunk_task(spec_payload: dict, trials: list[int],
     return records, time.perf_counter() - start
 
 
-def _fleet_rep_task(config_payload: dict, rep: int) -> dict:
-    """Stage entry point: one replication of one fleet-traffic cell.
-
-    A replication is a pure function of ``(config, rep)`` — its RNG
-    streams are sha256-derived per (seed, request, site) — so the fleet
-    runner can fan replications over this pool and merge them in rep
-    order with output bit-identical to a serial run.
-    """
-    from repro.fleet.sim import run_replication
-
-    return run_replication(config_payload, rep)
-
-
 class SweepRunner:
     """Fans sweep cells across worker processes, merging deterministically."""
 
-    def __init__(self, jobs: int, max_instructions: int, seed: int,
-                 stage_overlap: bool | None = None) -> None:
+    def __init__(self, jobs: int, max_instructions: int, seed: int) -> None:
         self.jobs = jobs
         self.max_instructions = max_instructions
         self.seed = seed
-        self.stage_overlap = env_stage_overlap() \
-            if stage_overlap is None else stage_overlap
-        #: Occupancy/wall-time record of the most recent :meth:`run`
-        #: (``None`` for serial runs); see BENCH_throughput.json.
-        self.last_stats: dict | None = None
         self._pool: ProcessPoolExecutor | None = None
 
     def _executor(self) -> ProcessPoolExecutor:
@@ -201,83 +153,19 @@ class SweepRunner:
             return [cache.run_config(cell.benchmark, cell.config)
                     for cell in cells]
 
-        # Group by benchmark, preserving config order within each group
-        # (and first-seen benchmark order across groups).
-        groups: OrderedDict[str, list[int]] = OrderedDict()
-        for index, cell in enumerate(cells):
-            groups.setdefault(cell.benchmark, []).append(index)
-
-        started = time.perf_counter()
-        if self.stage_overlap:
-            results, busy, tasks = self._run_staged(cells, groups)
-        else:
-            results, busy, tasks = self._run_grouped(cells, groups)
-        elapsed = time.perf_counter() - started
-        self.last_stats = {
-            "granularity": "stage" if self.stage_overlap else "benchmark",
-            "jobs": self.jobs,
-            "tasks": tasks,
-            "elapsed_s": elapsed,
-            "busy_s": busy,
-            "occupancy": busy / (elapsed * self.jobs) if elapsed > 0
-            else 0.0,
-        }
-        return results
-
-    def _run_grouped(self, cells, groups):
-        """One task per benchmark (the pre-stage-graph engine)."""
         pool = self._executor()
         futures = {
-            benchmark: pool.submit(
-                _run_group, benchmark,
-                [cells[i].config for i in indices],
-                self.max_instructions, self.seed,
-            )
-            for benchmark, indices in groups.items()
+            pool.submit(_run_group, benchmark,
+                        [cells[i].config for i in indices],
+                        self.max_instructions, self.seed): indices
+            for benchmark, indices in plan_chunks(
+                [cell.benchmark for cell in cells], self.jobs)
         }
         results: list[SystemResult | None] = [None] * len(cells)
-        busy = 0.0
-        for benchmark, indices in groups.items():
-            group_results, task_busy = futures[benchmark].result()
-            busy += task_busy
-            for index, result in zip(indices, group_results):
+        for future, indices in futures.items():
+            for index, result in zip(indices, future.result()):
                 results[index] = result
-        return results, busy, len(groups)
-
-    def _run_staged(self, cells, groups):
-        """One trace task per benchmark, then one task per cell."""
-        pool = self._executor()
-        trace_futures = {
-            pool.submit(_trace_task, benchmark, self.max_instructions,
-                        self.seed): benchmark
-            for benchmark in groups
-        }
-        results: list[SystemResult | None] = [None] * len(cells)
-        cell_futures: dict = {}
-        busy = 0.0
-        tasks = len(trace_futures)
-        pending = set(trace_futures)
-        while pending:
-            finished, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in finished:
-                if future in trace_futures:
-                    benchmark = trace_futures[future]
-                    payload, task_busy = future.result()
-                    busy += task_busy
-                    # Trace landed: fan this benchmark's cells out
-                    # immediately, while other traces still compute.
-                    for index in groups[benchmark]:
-                        cell_future = pool.submit(
-                            _cell_task, benchmark, cells[index].config,
-                            self.max_instructions, self.seed, payload)
-                        cell_futures[cell_future] = index
-                        pending.add(cell_future)
-                        tasks += 1
-                else:
-                    result, task_busy = future.result()
-                    busy += task_busy
-                    results[cell_futures[future]] = result
-        return results, busy, tasks
+        return results
 
     def close(self) -> None:
         if self._pool is not None:

@@ -14,13 +14,11 @@ to the machine):
 * ``REPRO_BENCHMARKS`` — comma-separated subset of benchmark names.
 * ``REPRO_TRIALS`` — fault-injection trials per benchmark (Fig. 8).
 * ``REPRO_JOBS`` — worker processes for config sweeps (default 1 =
-  in-process; 0 or negative = one per CPU).
+  in-process; 0 or negative = one per CPU; see
+  :mod:`repro.harness.parallel`).
 * ``REPRO_STAGE_JOBS`` — stage-graph worker threads inside one run
   (default 1 = serial pipeline; 0 or negative = one per CPU; see
   :mod:`repro.pipeline.executor`).
-* ``REPRO_STAGE_OVERLAP`` — set to ``0`` to make sweeps submit whole
-  benchmarks instead of per-(trace, cell) stage tasks (see
-  :mod:`repro.harness.parallel`).
 * ``REPRO_TRACE_CACHE`` — directory for the persistent trace cache
   (unset/empty/``0`` disables it).
 """
@@ -147,11 +145,11 @@ class WorkloadCache:
     def adopt_run(self, name: str, run: RunResult) -> CachedWorkload:
         """Install a functional run computed elsewhere into the cache.
 
-        The stage-level sweep/serve paths compute each benchmark's trace
-        once (one trace task) and hand the result to the workers that
-        evaluate its configurations; adopting is a no-op when this
-        process already holds the benchmark (first entry wins, matching
-        the build-or-fetch semantics of :meth:`get`).
+        The serving layer computes a batch's trace once (one trace task)
+        and hands the result to the workers that evaluate its
+        configurations; adopting is a no-op when this process already
+        holds the benchmark (first entry wins, matching the
+        build-or-fetch semantics of :meth:`get`).
         """
         cached = self._cache.get(name)
         if cached is None:

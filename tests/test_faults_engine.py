@@ -101,7 +101,7 @@ class TestShardsAndResume:
                             resume=True) as runner:
             outcome = runner.run(SPEC)
         assert outcome.resumed_trials == SPEC.trials
-        assert runner.last_stats["tasks"] == 0
+        assert outcome.busy_s == 0.0
         assert outcome.records == serial_outcome.records
 
     def test_resume_without_dir_rejected(self):

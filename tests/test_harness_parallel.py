@@ -1,5 +1,7 @@
 """Parallel sweep engine: jobs>1 must match the serial path exactly."""
 
+import pytest
+
 from repro.core.system import CheckMode
 from repro.harness.experiments import a510, x2
 from repro.harness.parallel import (
@@ -7,7 +9,7 @@ from repro.harness.parallel import (
     WORKER_CACHE_LIMIT,
     SweepCell,
     SweepRunner,
-    env_stage_overlap,
+    plan_chunks,
     worker_cache,
 )
 from repro.harness.runner import WorkloadCache, env_jobs, make_config
@@ -93,54 +95,52 @@ def test_sweep_serial_fallback_uses_no_pool():
     assert len(results) == 4
 
 
-def test_staged_matches_grouped():
-    """Stage-granular dispatch is a scheduling change, not a numeric one."""
-    cells = _cells()
-    staged = SweepRunner(jobs=2, max_instructions=BUDGET, seed=SEED,
-                         stage_overlap=True)
-    grouped = SweepRunner(jobs=2, max_instructions=BUDGET, seed=SEED,
-                          stage_overlap=False)
-    try:
-        got_staged = [_fingerprint(r) for r in staged.run(cells)]
-        got_grouped = [_fingerprint(r) for r in grouped.run(cells)]
-    finally:
-        staged.close()
-        grouped.close()
-    assert got_staged == got_grouped
-    assert staged.last_stats["granularity"] == "stage"
-    assert grouped.last_stats["granularity"] == "benchmark"
+@pytest.mark.parametrize("benchmarks,jobs,tasks", [
+    (1, 1, 1), (1, 2, 2), (1, 4, 3),
+    (2, 1, 2), (2, 2, 2), (2, 4, 4),
+    (3, 1, 3), (3, 2, 3), (3, 4, 6),
+])
+def test_plan_chunks(benchmarks, jobs, tasks):
+    """min(#configs, ceil(jobs / #benchmarks)) near-even chunks each."""
+    names = ["exchange2", "xz", "mcf"][:benchmarks]
+    # Three configs per benchmark, interleaved config-major.
+    cells = [name for _ in range(3) for name in names]
+    plan = plan_chunks(cells, jobs)
+    assert len(plan) == tasks
+    # Every cell lands in exactly one task, under its own benchmark.
+    placed = sorted(index for _, indices in plan for index in indices)
+    assert placed == list(range(len(cells)))
+    for benchmark, indices in plan:
+        assert indices and all(cells[i] == benchmark for i in indices)
+    for name in names:
+        chunks = [indices for benchmark, indices in plan
+                  if benchmark == name]
+        # Config order is kept: the chunks, in task order, concatenate
+        # to the benchmark's cells in cell order.
+        assert [i for chunk in chunks for i in chunk] == \
+            [i for i, cell in enumerate(cells) if cell == name]
+        sizes = [len(chunk) for chunk in chunks]
+        assert max(sizes) - min(sizes) <= 1
+    # Benchmarks are planned in first-seen order.
+    assert list(dict.fromkeys(b for b, _ in plan)) == names
 
 
-def test_staged_fills_pool_wider_than_benchmark_count():
-    """jobs > #benchmarks: stage tasks outnumber benchmark groups."""
-    cells = _cells()  # 2 benchmarks x 2 configs
-    runner = SweepRunner(jobs=4, max_instructions=BUDGET, seed=SEED,
-                         stage_overlap=True)
-    try:
-        results = runner.run(cells)
-    finally:
-        runner.close()
+@pytest.mark.parametrize("jobs", [2, 4])
+def test_pool_wider_than_benchmark_count_matches_serial(jobs):
+    """jobs > #benchmarks: one benchmark's configs split across workers."""
+    cells = [
+        SweepCell("exchange2", f"{n}xA510", make_config([a510(2.0)] * n))
+        for n in (1, 2, 4)
+    ] + [SweepCell("exchange2", "1xX2-opp",
+                   make_config([x2(3.0)], CheckMode.OPPORTUNISTIC))]
+    with SweepRunner(jobs=jobs, max_instructions=BUDGET,
+                     seed=SEED) as runner:
+        got = [_fingerprint(r) for r in runner.run(cells)]
     cache = WorkloadCache(max_instructions=BUDGET, seed=SEED,
                           trace_cache=None, jobs=1)
-    for cell, result in zip(cells, results):
-        want = cache.run_config(cell.benchmark, cell.config)
-        assert _fingerprint(result) == _fingerprint(want)
-    stats = runner.last_stats
-    # 2 trace tasks + 4 cell tasks, against 2 tasks in grouped mode.
-    assert stats["tasks"] == 6
-    assert stats["jobs"] == 4
-    assert stats["elapsed_s"] > 0.0
-    assert stats["busy_s"] > 0.0
-    assert 0.0 < stats["occupancy"] <= 1.0
-
-
-def test_env_stage_overlap(monkeypatch):
-    monkeypatch.delenv("REPRO_STAGE_OVERLAP", raising=False)
-    assert env_stage_overlap() is True
-    monkeypatch.setenv("REPRO_STAGE_OVERLAP", "0")
-    assert env_stage_overlap() is False
-    monkeypatch.setenv("REPRO_STAGE_OVERLAP", "1")
-    assert env_stage_overlap() is True
+    want = [_fingerprint(cache.run_config(cell.benchmark, cell.config))
+            for cell in cells]
+    assert got == want
 
 
 def test_worker_cache_is_a_bounded_lru():
