@@ -144,7 +144,7 @@ class RunResult:
     """Outcome of a functional run (one segment or a whole program)."""
 
     __slots__ = ("program", "columns", "start_checkpoint", "end_checkpoint",
-                 "halted", "instructions", "class_counts")
+                 "halted", "instructions", "class_counts", "timing_events")
 
     def __init__(
         self,
@@ -165,6 +165,9 @@ class RunResult:
         self.halted = halted
         self.instructions = instructions
         self.class_counts = {} if class_counts is None else class_counts
+        #: Timing-event memo of :func:`repro.pipeline.timing.core_timing`:
+        #: derived from the trace, never serialised with it.
+        self.timing_events: dict = {}
 
     @property
     def final_pc(self) -> int:

@@ -32,7 +32,9 @@ from repro.cpu.columns import TraceColumns
 from repro.cpu.config import CoreConfig, CoreInstance, CoreKind
 from repro.isa.instructions import FUKind, Instruction, Opcode
 from repro.isa.program import Program
+from repro.mem.dram import DramConfig
 from repro.mem.hierarchy import MemoryHierarchy, SharedUncore
+from repro.obs import StatGroup
 
 _FP_BASE = 32  # fp register keys offset in the scoreboard
 
@@ -236,8 +238,6 @@ def format_stats(result: TimingResult, config: CoreConfig) -> str:
     Rendered from the :meth:`TimingResult.export_stats` tree so the text
     dump and ``--stats-json`` can never disagree.
     """
-    from repro.obs import StatGroup
-
     stats = StatGroup("timing")
     result.export_stats(stats, config)
     flat = stats.flatten()
@@ -270,6 +270,56 @@ def format_stats(result: TimingResult, config: CoreConfig) -> str:
     return "\n".join(lines)
 
 
+#: Cache levels as event codes, nearest first.
+_LEVEL_CODE = {"l1": 0, "l2": 1, "l3": 2, "dram": 3}
+
+#: Event byte, one per committed instruction:
+#: bits 0-1 the fetch-miss level (0: no fetch penalty), bits 2-3 the
+#: level of a demand load's first address, bits 4-6 one plus the level of
+#: its second address (0: none), bit 7 a branch misprediction.
+_FETCH_MASK = 3
+_MISPREDICT = 128
+
+
+@dataclass(eq=False)
+class TimingEvents:
+    """One trace's walk through one warmed core's caches and predictor.
+
+    Fixed by the trace, the core's hierarchy and predictor, checker mode
+    and the uncore partition; frequency, boundaries and the NoC's extra
+    LLC latency enter only :func:`replay`.  Holds no cache or predictor
+    object: the event column is one byte per instruction.
+    """
+
+    program: Program
+    pcs: list[int]
+    checker_mode: bool
+    codes: bytearray
+    #: BCOPY index -> (word count, level codes touched); no levels on a
+    #: checker, whose copies hit the LSL$.
+    bcopies: dict[int, tuple[int, tuple[int, ...]]]
+    mispredicts: int
+    icache_misses: int
+    loads: int
+    stores: int
+    level_counts: dict[str, int]
+    llc_accesses: int
+    dram_accesses: int
+    #: ``(fu_id, issued)`` in first-issue order.
+    fu_counts: list[tuple[int, int]]
+    #: The uncore's L3 hit and unloaded DRAM latencies.
+    l3_ns: float
+    dram_ns: float
+    dram: DramConfig
+    #: Snapshot of the ``caches`` and ``uncore`` stat groups after the walk.
+    hierarchy_stats: StatGroup
+
+    def export_stats(self, group, extra_llc_ns: float) -> None:
+        """Publish the walk's cache and uncore counters into ``group``."""
+        group.merge(self.hierarchy_stats)
+        group.group("uncore").scalar("extra_llc_latency_ns", extra_llc_ns)
+
+
 class TimingModel:
     """Replays a commit trace against one core instance."""
 
@@ -292,6 +342,8 @@ class TimingModel:
         #: Per-PC stride prefetcher state: pc -> [last_addr, stride, confidence].
         self._prefetch: dict[int, list[int]] = {}
         self.prefetches_issued = 0
+        #: The latest :meth:`simulate`'s events, for ``replay`` to reuse.
+        self.last_events: TimingEvents | None = None
 
     #: Prefetch distance in strides once a pattern is confirmed.
     PREFETCH_DISTANCE = 4
@@ -356,331 +408,107 @@ class TimingModel:
         boundaries: list[int] | None = None,
         checkpoint_overhead: bool = False,
     ) -> TimingResult:
-        """Replay ``trace`` and return timing.
-
-        ``boundaries`` is a sorted list of *end-exclusive* instruction
+        """Time ``trace``: :meth:`events` from this model's state, then
+        :func:`replay`.  ``boundaries`` is a sorted list of *end-exclusive* instruction
         indices; the cumulative commit cycle at each boundary is reported in
         ``boundary_cycles``.  With ``checkpoint_overhead``, the RCU's
         register-file copy latency is charged at every boundary (this is the
         main-core cost the paper measures under "Register Checkpointing").
         """
-        config = self.config
+        self.last_events = self.events(program, trace)
+        return replay(self.last_events, self.instance,
+                      self.hierarchy.uncore.extra_llc_latency_ns,
+                      boundaries, checkpoint_overhead)
+
+    def events(self, program: Program, trace: TraceColumns) -> TimingEvents:
+        """Walk ``trace`` through this model's caches, stride prefetcher,
+        branch predictor and fetch path, from their current state.
+
+        Computes no timing: which level served each fetch miss and demand
+        load, which branches mispredicted, and the counters the timing
+        result reports.
+        """
         freq = self.freq
         hier = self.hierarchy
-        predictor = self.predictor
-        in_order = config.kind is CoreKind.IN_ORDER
-        width_step = 1.0 / config.width
-        commit_step = 1.0 / config.commit_width
-        window = config.rob_size
-        penalty = config.mispredict_penalty
-        l1i_hit_cycles = config.hierarchy.l1i.hit_latency
-        checker = self.checker_mode
-        lsl_latency = self.LSL_LATENCY
         uncore = hier.uncore
+        checker = self.checker_mode
         llc_before = uncore.llc_accesses
         dram_before = uncore.dram.accesses
-
-        fu_free: dict[FUKind, list[float]] = {
-            kind: [0.0] * fu.units for kind, fu in config.fus.items()
-        }
-        #: Indexed by dense FU id: (units, latency, interval, single-unit).
-        fu_info: list = [None] * len(_FU_ORDER)
-        for kind, fu in config.fus.items():
-            fu_info[_FU_INDEX[kind]] = (fu_free[kind], fu.latency,
-                                        fu.interval, fu.units == 1)
-        mshrs = [0.0] * config.hierarchy.l1d.mshrs
-        # Scoreboard: int keys 1..31, fp keys _FP_BASE+1.., dense list.
-        ready: list[float] = [0.0] * _SCOREBOARD_SLOTS
-        rob: list[float] = [0.0] * window  # ring buffer of commit cycles
-        rob_pos = 0
-
-        fetch_cycle = 0.0
-        last_issue = 0.0
-        last_commit = 0.0
-        last_fetch_line = -1
-        mispredicts = 0
-        icache_misses = 0
-        loads = 0
-        stores = 0
-        #: Per-FU busy cycles beyond ``count * interval`` (BCOPY stretches
-        #: its initiation interval to the word count); issue counts and the
-        #: base busy product are recovered from the trace after the loop.
-        extra_busy: dict[int, int] = {}
-
-        boundary_iter = iter(boundaries or [])
-        # Compare against ``i`` directly (boundaries are end-exclusive, so
-        # subtract one); 0 - 1 == -1 never matches an index.
-        next_boundary = next(boundary_iter, 0) - 1
-        boundary_cycles: list[float] = []
-
-        meta = _program_metadata(program)
         fetch_access = hier.fetch_access_fast
         data_access = hier.data_access_fast
-        predict_indirect = predictor.predict_indirect
+        predict_conditional = self.predictor.predict_conditional
+        predict_indirect = self.predictor.predict_indirect
+        prefetch = self._prefetch_data
+        level_code = _LEVEL_CODE
 
-        # The conditional predictor is inlined below (same trick as the
-        # L1 probes): its tables are plain bytearrays, so the tournament
-        # update is a handful of index ops once the call frame is gone.
-        # History and the prediction counters are carried in locals and
-        # written back after the loop.
-        bp_bimodal = predictor._bimodal
-        bp_gshare = predictor._gshare
-        bp_chooser = predictor._chooser
-        bp_mask = predictor._mask
-        bp_history = predictor._history
-        bp_hmask = predictor._history_mask
-        cond_predictions = 0
-        cond_mispredictions = 0
-
-        # Per-PC stride prefetcher, likewise inlined: the common case
-        # (streaming stride, target line already resident) is an L1 hit.
-        prefetch_table = self._prefetch
-        prefetch_distance = self.PREFETCH_DISTANCE
-        prefetches = 0
-
-        # L1 hit probes are inlined below (reaching into Cache internals):
-        # the warm-cache common case then costs a set lookup and an LRU
-        # touch instead of two call frames.  Misses fall through to the
-        # full hierarchy walk, whose own L1 probe still misses, so hit /
-        # miss / eviction counters stay exact.
-        l1d = hier.l1d
-        l1d_sets = l1d._sets
-        l1d_set_mask = l1d._set_mask
-        l1d_shift = l1d._line_shift
-        l1i = hier.l1i
-        l1i_sets = l1i._sets
-        l1i_set_mask = l1i._set_mask
-        l1i_shift = l1i._line_shift
-        counts = hier.level_counts
-        #: Same expression shape as ``data_access_fast`` on an L1 hit.
-        l1d_hit_ns = hier._l1d_hit_cycles / freq
-
+        meta = _program_metadata(program)
         pcs = trace.pcs
+        codes = bytearray(len(pcs))
+        bcopies: dict[int, tuple[int, tuple[int, ...]]] = {}
         # Sentinel row: index -2 never matches, so the row-pointer test
         # needs no bounds check.  (Copies the list; the trace is shared.)
         mem_rows = trace.mem_rows + [(-2, -1, -1, 0, None, None, None, None)]
         br_rows = trace.br_rows
         bulks = trace.bulks
-        mp = 0
-        bp = 0
+        mp = bp = mispredicts = icache_misses = loads = stores = 0
+        last_fetch_line = -1
 
         for i, pc in enumerate(pcs):
-            (fu_id, r1, r2, r3, w1, w2, mem_kind, branch_kind, fetch_line,
+            (_, _, _, _, _, _, mem_kind, branch_kind, fetch_line,
              fetch_addr, jmp_redirect) = meta[pc]
-
-            # -- fetch / dispatch ----------------------------------------
+            code = 0
             if fetch_line != last_fetch_line:
                 last_fetch_line = fetch_line
-                tag = fetch_addr >> l1i_shift
-                ways = l1i_sets[tag & l1i_set_mask]
-                if tag in ways:  # inline L1I hit
-                    if ways[-1] != tag:
-                        ways.remove(tag)
-                        ways.append(tag)
-                    l1i.hits += 1
-                    counts["l1"] += 1
-                else:
-                    latency_ns, level = fetch_access(fetch_addr, freq)
-                    if level != "l1":
-                        icache_misses += 1
-                        fetch_cycle += latency_ns * freq - l1i_hit_cycles
+                level = fetch_access(fetch_addr, freq)[1]
+                if level != "l1":
+                    icache_misses += 1
+                    code = level_code[level]
                 # Next-line instruction prefetch (sequential streams hit).
-                tag = (fetch_addr + 64) >> l1i_shift
-                ways = l1i_sets[tag & l1i_set_mask]
-                if tag in ways:
-                    if ways[-1] != tag:
-                        ways.remove(tag)
-                        ways.append(tag)
-                    l1i.hits += 1
-                    counts["l1"] += 1
-                else:
-                    fetch_access(fetch_addr + 64, freq)
-            disp = fetch_cycle
-            fetch_cycle += width_step
-            # Window limit: the i-th instruction cannot dispatch before the
-            # (i - window)-th commits.
-            oldest = rob[rob_pos]
-            if oldest > disp:
-                disp = oldest
-            # Out-of-order cores never update last_issue, so it stays 0.0
-            # and this test is always false for them.
-            if last_issue > disp:
-                disp = last_issue
+                fetch_access(fetch_addr + 64, freq)
 
-            # -- register dependencies -----------------------------------
-            # Unused read slots hold key 0 (x0), pinned at 0.0 <= disp.
-            t_ready = disp
-            t = ready[r1]
-            if t > t_ready:
-                t_ready = t
-            t = ready[r2]
-            if t > t_ready:
-                t_ready = t
-            t = ready[r3]
-            if t > t_ready:
-                t_ready = t
-
-            # -- functional unit -----------------------------------------
-            # Units within a class are interchangeable, so only the
-            # multiset of free times matters; keeping it as a heap makes
-            # pick-earliest-and-reoccupy one C call instead of a
-            # min + index double scan.
-            units, latency, interval, single = fu_info[fu_id]
-            unit_free = units[0]
-            issue = t_ready if t_ready > unit_free else unit_free
-            if in_order:
-                last_issue = issue
-
-            # -- memory ----------------------------------------------------
             if mem_kind:
-                if mem_kind == _MEM_NONREP:
-                    # Non-repeatable read: the row carries no timing info.
-                    if mem_rows[mp][0] == i:
-                        mp += 1
+                row = mem_rows[mp]
+                if row[0] == i:
+                    mp += 1
+                    addr = row[1]
+                    addr2 = row[2]
                 else:
-                    row = mem_rows[mp]
-                    if row[0] == i:
-                        mp += 1
-                        addr = row[1]
-                        addr2 = row[2]
-                    else:
-                        addr = addr2 = -1
-                    if mem_kind & _MEM_BCOPY \
-                            and (bulk := bulks.get(i)) is not None:
-                        # Microcoded bulk copy: one word per cycle through
-                        # the load/store pipes, touching source and
-                        # destination lines.
-                        words = len(bulk)
-                        loads += words
-                        stores += words
-                        if checker:
-                            latency = max(words, lsl_latency)
-                        else:
-                            worst = 0.0
-                            for base in (addr, addr2):
-                                for off in range(0, words * 8, 64):
-                                    latency_ns, _ = data_access(base + off,
-                                                                freq)
-                                    worst = max(worst, latency_ns * freq)
-                            latency = max(words, worst)
-                        if words > interval:
-                            extra_busy[fu_id] = (extra_busy.get(fu_id, 0)
-                                                 + words - interval)
-                            interval = words
-                    else:
-                        if mem_kind & _MEM_LOAD:
+                    addr = addr2 = -1
+                if mem_kind & _MEM_BCOPY \
+                        and (bulk := bulks.get(i)) is not None:
+                    # Microcoded bulk copy: touches source and
+                    # destination lines, one word per cycle.
+                    words = len(bulk)
+                    loads += words
+                    stores += words
+                    levels = () if checker else tuple(sorted({
+                        level_code[data_access(base + off, freq)[1]]
+                        for base in (addr, addr2)
+                        for off in range(0, words * 8, 64)}))
+                    bcopies[i] = (words, levels)
+                elif mem_kind != _MEM_NONREP:  # those rows carry no timing
+                    if mem_kind & _MEM_LOAD:
+                        loads += 1
+                        if addr2 >= 0:
                             loads += 1
-                            if addr2 >= 0:
-                                loads += 1
-                        if mem_kind & _MEM_STORE:
+                    if mem_kind & _MEM_STORE:
+                        stores += 1
+                        if addr2 >= 0 and mem_kind & _MEM_STS:
                             stores += 1
-                            if addr2 >= 0 and mem_kind & _MEM_STS:
-                                stores += 1
-                        if checker:
-                            latency = lsl_latency
-                        elif mem_kind & _MEM_LOAD:
-                            # Inline _prefetch_data: train the per-PC
-                            # stride entry; confirmed strides pull
-                            # PREFETCH_DISTANCE ahead.  The probe order
-                            # (prefetch before demand) matches the
-                            # method it replaces.
-                            state = prefetch_table.get(pc)
-                            if state is None:
-                                prefetch_table[pc] = [addr, 0, 0]
-                            else:
-                                stride = addr - state[0]
-                                if stride != 0 and stride == state[1]:
-                                    state[2] += 1
-                                else:
-                                    state[1] = stride
-                                    state[2] = 0
-                                state[0] = addr
-                                if state[2] >= 2 and state[1] != 0:
-                                    target = addr \
-                                        + state[1] * prefetch_distance
-                                    if (target ^ addr) >> 6:
-                                        tag = target >> l1d_shift
-                                        ways = l1d_sets[tag
-                                                        & l1d_set_mask]
-                                        if tag in ways:  # inline L1D hit
-                                            if ways[-1] != tag:
-                                                ways.remove(tag)
-                                                ways.append(tag)
-                                            l1d.hits += 1
-                                            counts["l1"] += 1
-                                        else:
-                                            data_access(target, freq)
-                                        prefetches += 1
-                            tag = addr >> l1d_shift
-                            ways = l1d_sets[tag & l1d_set_mask]
-                            if tag in ways:  # inline L1D hit
-                                if ways[-1] != tag:
-                                    ways.remove(tag)
-                                    ways.append(tag)
-                                l1d.hits += 1
-                                counts["l1"] += 1
-                                mem_cycles = l1d_hit_ns * freq
-                                if addr2 >= 0:
-                                    latency2_ns, _ = data_access(addr2,
-                                                                 freq)
-                                    mem_cycles = max(mem_cycles,
-                                                     latency2_ns * freq)
-                            else:
-                                latency_ns, level = data_access(addr, freq)
-                                mem_cycles = latency_ns * freq
-                                if addr2 >= 0:
-                                    latency2_ns, _ = data_access(addr2,
-                                                                 freq)
-                                    mem_cycles = max(mem_cycles,
-                                                     latency2_ns * freq)
-                                if level != "l1":
-                                    # A miss occupies an MSHR until the
-                                    # fill returns (heap: same slot
-                                    # interchangeability as FU units).
-                                    slot_free = mshrs[0]
-                                    if slot_free > issue:
-                                        issue = slot_free
-                                    heapreplace(mshrs, issue + mem_cycles)
-                            latency = mem_cycles
-                        else:
-                            # Stores retire through the store buffer:
-                            # residency and stats are tracked but the
-                            # pipeline sees 1 cycle.
-                            tag = addr >> l1d_shift
-                            ways = l1d_sets[tag & l1d_set_mask]
-                            if tag in ways:  # inline L1D hit
-                                if ways[-1] != tag:
-                                    ways.remove(tag)
-                                    ways.append(tag)
-                                l1d.hits += 1
-                                counts["l1"] += 1
-                            else:
-                                data_access(addr, freq)
-                            if addr2 >= 0:
-                                data_access(addr2, freq)
-                            latency = 1
+                    # A checker's LSL$ serves these: no cache traffic.
+                    if not checker and mem_kind & _MEM_LOAD:
+                        prefetch(pc, addr)
+                        code |= level_code[data_access(addr, freq)[1]] << 2
+                        if addr2 >= 0:
+                            code |= (level_code[data_access(addr2, freq)[1]]
+                                     + 1) << 4
+                    elif not checker:
+                        # Stores retire through the store buffer:
+                        # residency and stats only.
+                        data_access(addr, freq)
+                        if addr2 >= 0:
+                            data_access(addr2, freq)
 
-            if single:
-                units[0] = issue + interval
-            else:
-                heapreplace(units, issue + interval)
-            complete = issue + latency
-
-            # Unused write slots land in the never-read dead slot.
-            ready[w1] = complete
-            ready[w2] = complete
-
-            # -- commit ----------------------------------------------------
-            commit = last_commit + commit_step
-            if complete > commit:
-                commit = complete
-            last_commit = commit
-            rob[rob_pos] = commit
-            rob_pos += 1
-            if rob_pos == window:
-                rob_pos = 0
-
-            # -- control flow ----------------------------------------------
             if branch_kind:
                 if branch_kind == _JMP:
                     # Always predicted correctly; static redirect only.
@@ -693,97 +521,26 @@ class TimingModel:
                     if branch_kind == _JALR:
                         correct = predict_indirect(pc, next_pc)
                     else:
-                        # Inline BranchPredictor.predict_conditional
-                        # (tournament: bimodal + gshare + chooser).
-                        taken = row[2]
-                        b_idx = pc & bp_mask
-                        g_idx = (pc ^ (bp_history * 0x9E3779B1)) & bp_mask
-                        b_counter = bp_bimodal[b_idx]
-                        g_counter = bp_gshare[g_idx]
-                        b_pred = b_counter >= 2
-                        g_pred = g_counter >= 2
-                        if bp_chooser[b_idx] >= 2:
-                            correct = g_pred == taken
-                        else:
-                            correct = b_pred == taken
-                        cond_predictions += 1
-                        if not correct:
-                            cond_mispredictions += 1
-                        if b_pred != g_pred:
-                            chooser = bp_chooser[b_idx]
-                            if g_pred == taken and chooser < 3:
-                                bp_chooser[b_idx] = chooser + 1
-                            elif b_pred == taken and chooser > 0:
-                                bp_chooser[b_idx] = chooser - 1
-                        if taken:
-                            if b_counter < 3:
-                                bp_bimodal[b_idx] = b_counter + 1
-                            if g_counter < 3:
-                                bp_gshare[g_idx] = g_counter + 1
-                            bp_history = ((bp_history << 1) | 1) \
-                                & bp_hmask
-                        else:
-                            if b_counter > 0:
-                                bp_bimodal[b_idx] = b_counter - 1
-                            if g_counter > 0:
-                                bp_gshare[g_idx] = g_counter - 1
-                            bp_history = (bp_history << 1) & bp_hmask
+                        correct = predict_conditional(pc, row[2])
                     if not correct:
                         mispredicts += 1
-                        redirect = complete + penalty
-                        if redirect > fetch_cycle:
-                            fetch_cycle = redirect
+                        code |= _MISPREDICT
                     # Any taken control flow changes the fetch line.
                     if next_pc != pc + 1:
                         last_fetch_line = -1
+            if code:
+                codes[i] = code
 
-            # -- segment boundary ------------------------------------------
-            if i == next_boundary:
-                if checkpoint_overhead:
-                    last_commit += self.config.checkpoint_latency
-                    if last_commit > fetch_cycle:
-                        fetch_cycle = last_commit
-                boundary_cycles.append(last_commit)
-                next_boundary = next(boundary_iter, 0) - 1
-
-        predictor._history = bp_history
-        predictor.predictions += cond_predictions
-        predictor.mispredictions += cond_mispredictions
-        self.prefetches_issued += prefetches
-
-        # Issue counts per FU, in first-issue order (Counter preserves
-        # first-seen order); busy cycles are ``count * interval`` — exact,
-        # because intervals are integers — plus the BCOPY stretch.
+        hierarchy_stats = StatGroup()
+        hier.export_stats(hierarchy_stats.group("caches"))
+        uncore.export_stats(hierarchy_stats.group("uncore"))
         fu_ids = [m[0] for m in meta]
-        fu_issue_counts = {}
-        fu_busy_cycles = {}
-        for fu_id, count in Counter(map(fu_ids.__getitem__, pcs)).items():
-            name = _FU_NAMES[fu_id]
-            fu_issue_counts[name] = count
-            interval = fu_info[fu_id][2]
-            fu_busy_cycles[name] = float(interval * count
-                                         + extra_busy.get(fu_id, 0))
-
-        # DRAM bandwidth floor: the run cannot finish faster than the memory
-        # channel can deliver its line traffic (demand + prefetch).  If the
-        # floor binds (bandwidth-bound streaming workloads), time dilates
-        # uniformly.
-        dram_lines = uncore.dram.accesses - dram_before
-        floor_scale = 1.0
-        if dram_lines and last_commit > 0:
-            dram_cfg = uncore.dram.config
-            floor = (dram_lines * dram_cfg.line_bytes
-                     / dram_cfg.peak_bandwidth_gbps) * freq
-            if floor > last_commit:
-                floor_scale = floor / last_commit
-                last_commit = floor
-                boundary_cycles = [c * floor_scale for c in boundary_cycles]
-
-        return TimingResult(
-            label=self.instance.label + (" (checker)" if checker else ""),
-            instructions=len(trace),
-            cycles=last_commit,
-            freq_ghz=freq,
+        return TimingEvents(
+            program=program,
+            pcs=pcs,
+            checker_mode=checker,
+            codes=codes,
+            bcopies=bcopies,
             mispredicts=mispredicts,
             icache_misses=icache_misses,
             loads=loads,
@@ -791,8 +548,241 @@ class TimingModel:
             level_counts=dict(hier.level_counts),
             llc_accesses=uncore.llc_accesses - llc_before,
             dram_accesses=uncore.dram.accesses - dram_before,
-            boundary_cycles=boundary_cycles,
-            floor_scale=floor_scale,
-            fu_issue_counts=fu_issue_counts,
-            fu_busy_cycles=fu_busy_cycles,
+            fu_counts=list(Counter(map(fu_ids.__getitem__, pcs)).items()),
+            l3_ns=uncore.l3_hit_latency_ns(),
+            dram_ns=uncore.dram.latency_ns(),
+            dram=uncore.dram.config,
+            hierarchy_stats=hierarchy_stats,
         )
+
+
+def replay(
+    events: TimingEvents,
+    instance: CoreInstance,
+    extra_llc_ns: float = 0.0,
+    boundaries: list[int] | None = None,
+    checkpoint_overhead: bool = False,
+) -> TimingResult:
+    """Time ``instance`` over a trace's cache and predictor events.
+
+    The dispatch/ROB/scoreboard/FU/MSHR/commit recurrence of
+    :meth:`TimingModel.simulate`.  Per-level latencies are computed once
+    here, with the same float expressions as
+    :meth:`~repro.mem.hierarchy.MemoryHierarchy.data_access_fast` and
+    ``fetch_access_fast`` plus the NoC's ``extra_llc_ns``, so one event
+    stream serves every frequency, boundary set and NoC estimate.
+    """
+    config = instance.config
+    freq = instance.freq_ghz
+    in_order = config.kind is CoreKind.IN_ORDER
+    width_step = 1.0 / config.width
+    commit_step = 1.0 / config.commit_width
+    window = config.rob_size
+    penalty = config.mispredict_penalty
+    checker = events.checker_mode
+    lsl_latency = TimingModel.LSL_LATENCY
+
+    hierarchy = config.hierarchy
+    l2_ns = hierarchy.l2.hit_latency / freq
+    l3_ns = events.l3_ns + extra_llc_ns
+    dram_ns = l3_ns + events.dram_ns
+
+    def level_ns(l1_cycles: int) -> list[float]:
+        near = l1_cycles / freq
+        far = near + l2_ns
+        return [near, far, far + l3_ns, far + dram_ns]
+
+    l1i_hit_cycles = hierarchy.l1i.hit_latency
+    fetch_penalty = [ns * freq - l1i_hit_cycles
+                     for ns in level_ns(l1i_hit_cycles)]
+    data_ns = level_ns(hierarchy.l1d.hit_latency)
+    # Event bits 2-6 -> (demand cycles, missed L1).
+    load_cycles = []
+    for key in range(20):
+        mem_cycles = data_ns[key & 3] * freq
+        if key >> 2:
+            mem_cycles = max(mem_cycles, data_ns[(key >> 2) - 1] * freq)
+        load_cycles.append((mem_cycles, key & 3 != 0))
+
+    fu_info: list = [None] * len(_FU_ORDER)
+    for kind, fu in config.fus.items():
+        # (free-time heap, latency, interval, single-unit)
+        fu_info[_FU_INDEX[kind]] = ([0.0] * fu.units, fu.latency,
+                                    fu.interval, fu.units == 1)
+    mshrs = [0.0] * hierarchy.l1d.mshrs
+    # Scoreboard: int keys 1..31, fp keys _FP_BASE+1.., dense list.
+    ready: list[float] = [0.0] * _SCOREBOARD_SLOTS
+    rob: list[float] = [0.0] * window  # ring buffer of commit cycles
+    rob_pos = 0
+
+    fetch_cycle = 0.0
+    last_issue = 0.0
+    last_commit = 0.0
+    #: Per-FU busy cycles beyond ``count * interval`` (BCOPY stretches
+    #: its initiation interval to the word count).
+    extra_busy: dict[int, int] = {}
+
+    boundary_iter = iter(boundaries or [])
+    # Compare against ``i`` directly (boundaries are end-exclusive, so
+    # subtract one); 0 - 1 == -1 never matches an index.
+    next_boundary = next(boundary_iter, 0) - 1
+    boundary_cycles: list[float] = []
+
+    meta = _program_metadata(events.program)
+    codes = events.codes
+    bcopies = events.bcopies
+
+    for i, pc in enumerate(events.pcs):
+        fu_id, r1, r2, r3, w1, w2, mem_kind, _, _, _, _ = meta[pc]
+        code = codes[i]
+
+        # -- fetch / dispatch ----------------------------------------
+        if code & _FETCH_MASK:
+            fetch_cycle += fetch_penalty[code & _FETCH_MASK]
+        disp = fetch_cycle
+        fetch_cycle += width_step
+        # Window limit: the i-th instruction cannot dispatch before the
+        # (i - window)-th commits.
+        oldest = rob[rob_pos]
+        if oldest > disp:
+            disp = oldest
+        # Out-of-order cores never update last_issue, so it stays 0.0
+        # and this test is always false for them.
+        if last_issue > disp:
+            disp = last_issue
+
+        # -- register dependencies -----------------------------------
+        # Unused read slots hold key 0 (x0), pinned at 0.0 <= disp.
+        t_ready = disp
+        t = ready[r1]
+        if t > t_ready:
+            t_ready = t
+        t = ready[r2]
+        if t > t_ready:
+            t_ready = t
+        t = ready[r3]
+        if t > t_ready:
+            t_ready = t
+
+        # -- functional unit -----------------------------------------
+        # Units within a class are interchangeable, so only the
+        # multiset of free times matters; keeping it as a heap makes
+        # pick-earliest-and-reoccupy one C call instead of a
+        # min + index double scan.
+        units, latency, interval, single = fu_info[fu_id]
+        unit_free = units[0]
+        issue = t_ready if t_ready > unit_free else unit_free
+        if in_order:
+            last_issue = issue
+
+        # -- memory ----------------------------------------------------
+        # Non-repeatable reads (_MEM_NONREP alone) keep the FU latency.
+        if 0 < mem_kind < _MEM_NONREP:
+            if mem_kind & _MEM_BCOPY \
+                    and (bcopy := bcopies.get(i)) is not None:
+                # Microcoded bulk copy: one word per cycle through the
+                # load/store pipes.
+                words, levels = bcopy
+                if checker:
+                    latency = max(words, lsl_latency)
+                else:
+                    worst = 0.0
+                    for level in levels:
+                        worst = max(worst, data_ns[level] * freq)
+                    latency = max(words, worst)
+                if words > interval:
+                    extra_busy[fu_id] = (extra_busy.get(fu_id, 0)
+                                         + words - interval)
+                    interval = words
+            elif checker:
+                latency = lsl_latency
+            elif mem_kind & _MEM_LOAD:
+                latency, missed = load_cycles[(code >> 2) & 31]
+                if missed:
+                    # A miss occupies an MSHR until the fill returns
+                    # (heap: same slot interchangeability as FU units).
+                    slot_free = mshrs[0]
+                    if slot_free > issue:
+                        issue = slot_free
+                    heapreplace(mshrs, issue + latency)
+            else:
+                # Stores retire through the store buffer: the pipeline
+                # sees 1 cycle.
+                latency = 1
+
+        if single:
+            units[0] = issue + interval
+        else:
+            heapreplace(units, issue + interval)
+        complete = issue + latency
+
+        # Unused write slots land in the never-read dead slot.
+        ready[w1] = complete
+        ready[w2] = complete
+
+        # -- commit ----------------------------------------------------
+        commit = last_commit + commit_step
+        if complete > commit:
+            commit = complete
+        last_commit = commit
+        rob[rob_pos] = commit
+        rob_pos += 1
+        if rob_pos == window:
+            rob_pos = 0
+
+        # -- control flow ----------------------------------------------
+        if code & _MISPREDICT:
+            redirect = complete + penalty
+            if redirect > fetch_cycle:
+                fetch_cycle = redirect
+
+        # -- segment boundary ------------------------------------------
+        if i == next_boundary:
+            if checkpoint_overhead:
+                last_commit += config.checkpoint_latency
+                if last_commit > fetch_cycle:
+                    fetch_cycle = last_commit
+            boundary_cycles.append(last_commit)
+            next_boundary = next(boundary_iter, 0) - 1
+
+    # Busy cycles are ``count * interval`` — exact, because intervals are
+    # integers — plus the BCOPY stretch.
+    fu_issue_counts = {}
+    fu_busy_cycles = {}
+    for fu_id, count in events.fu_counts:
+        name = _FU_NAMES[fu_id]
+        fu_issue_counts[name] = count
+        fu_busy_cycles[name] = float(fu_info[fu_id][2] * count
+                                     + extra_busy.get(fu_id, 0))
+
+    # DRAM bandwidth floor: the run cannot finish faster than the memory
+    # channel can deliver its line traffic (demand + prefetch).  If the
+    # floor binds (bandwidth-bound streaming workloads), time dilates
+    # uniformly.
+    dram_lines = events.dram_accesses
+    floor_scale = 1.0
+    if dram_lines and last_commit > 0:
+        floor = (dram_lines * events.dram.line_bytes
+                 / events.dram.peak_bandwidth_gbps) * freq
+        if floor > last_commit:
+            floor_scale = floor / last_commit
+            last_commit = floor
+            boundary_cycles = [c * floor_scale for c in boundary_cycles]
+
+    return TimingResult(
+        label=instance.label + (" (checker)" if checker else ""),
+        instructions=len(events.pcs),
+        cycles=last_commit,
+        freq_ghz=freq,
+        mispredicts=events.mispredicts,
+        icache_misses=events.icache_misses,
+        loads=events.loads,
+        stores=events.stores,
+        level_counts=dict(events.level_counts),
+        llc_accesses=events.llc_accesses,
+        dram_accesses=events.dram_accesses,
+        boundary_cycles=boundary_cycles,
+        floor_scale=floor_scale,
+        fu_issue_counts=fu_issue_counts,
+        fu_busy_cycles=fu_busy_cycles,
+    )

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from repro.cpu.config import CoreInstance
 from repro.cpu.functional import RunResult
-from repro.cpu.timing import TimingModel
 from repro.isa.program import Program
+from repro.pipeline.timing import core_timing
 
 #: Serial + synchronisation fraction of parallelised workloads.
 SERIAL_FRACTION = 0.06
@@ -33,10 +33,11 @@ MEMORY_CONTENTION_FACTOR = 0.8
 
 def core_throughput_gips(program: Program, run: RunResult,
                          instance: CoreInstance) -> float:
-    """Instructions/ns this core class achieves on the workload."""
-    model = TimingModel(instance)
-    model.warm_data(program.memory_image.keys())
-    timing = model.simulate(program, run.columns)
+    """Instructions/ns this core class achieves on ``run`` (of
+    ``program``), warmed like every main-mode timing, own uncore."""
+    hierarchy = instance.config.hierarchy
+    timing, _ = core_timing(run, instance, (
+        hierarchy.l3, hierarchy.dram, hierarchy.uncore_clock_ghz))
     return timing.instructions / timing.time_ns
 
 

@@ -2,7 +2,7 @@
 
 from repro.mem.memory import Memory
 from repro.mem.cache import Cache, CacheConfig
-from repro.mem.hierarchy import AccessResult, HierarchyConfig, MemoryHierarchy
+from repro.mem.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.mem.dram import DramConfig, DramModel
 from repro.mem.ecc import (
     EccError,
@@ -15,7 +15,6 @@ from repro.mem.ecc import (
 )
 
 __all__ = [
-    "AccessResult",
     "Cache",
     "CacheConfig",
     "DramConfig",

@@ -30,14 +30,6 @@ class HierarchyConfig:
     uncore_clock_ghz: float = 2.0
 
 
-@dataclass(frozen=True)
-class AccessResult:
-    """Outcome of one memory access."""
-
-    latency_ns: float
-    level: str  # "l1", "l2", "l3", "dram"
-
-
 class SharedUncore:
     """The L3 slice set and memory channel shared by all cores."""
 
@@ -49,8 +41,6 @@ class SharedUncore:
         self._l3_hit_cycles = l3_config.hit_latency
         #: Added by the NoC model to every LLC access (paper section VI).
         self.extra_llc_latency_ns = 0.0
-        #: Utilisation fed into the DRAM queueing model.
-        self.dram_utilisation = 0.0
         self.llc_accesses = 0
 
     def l3_hit_latency_ns(self) -> float:
@@ -62,21 +52,16 @@ class SharedUncore:
         self.dram.reset_stats()
 
     def access_fast(self, addr: int) -> tuple[float, str]:
-        """Hot-path LLC access: ``(latency_ns, level)`` without the
-        AccessResult wrapper allocation."""
+        """Access the LLC, falling through to DRAM on a miss:
+        ``(latency_ns, level)``."""
         self.llc_accesses += 1
         latency = self._l3_hit_cycles / self.clock_ghz \
             + self.extra_llc_latency_ns
         if self.l3.access(addr):
             return latency, "l3"
         self.dram.record_access(addr)
-        latency += self.dram.latency_ns(self.dram_utilisation)
+        latency += self.dram.latency_ns()
         return latency, "dram"
-
-    def access(self, addr: int) -> AccessResult:
-        """Access the LLC, falling through to DRAM on a miss."""
-        latency, level = self.access_fast(addr)
-        return AccessResult(latency, level)
 
     def export_stats(self, group) -> None:
         """Publish LLC and DRAM counters into an obs StatGroup."""
@@ -105,15 +90,12 @@ class MemoryHierarchy:
         )
         self.level_counts = {"l1": 0, "l2": 0, "l3": 0, "dram": 0}
 
-    def _cycles_ns(self, cycles: int, core_freq_ghz: float) -> float:
-        return cycles / core_freq_ghz
-
     def data_access_fast(self, addr: int,
                          core_freq_ghz: float) -> tuple[float, str]:
-        """Hot-path load/store walk: ``(latency_ns, level)`` tuples
-        instead of AccessResult allocations.  Latency accumulation keeps
-        the per-level division structure of the object path, so results
-        are bit-identical."""
+        """A load or store (write-allocate): ``(latency_ns, level)``.
+
+        :func:`repro.cpu.timing.replay` recomputes these latencies per
+        level with the same float expressions; keep the two in step."""
         counts = self.level_counts
         latency = self._l1d_hit_cycles / core_freq_ghz
         if self.l1d.access(addr):
@@ -129,7 +111,7 @@ class MemoryHierarchy:
 
     def fetch_access_fast(self, addr: int,
                           core_freq_ghz: float) -> tuple[float, str]:
-        """Hot-path instruction-fetch walk (see ``data_access_fast``)."""
+        """An instruction fetch (see ``data_access_fast``)."""
         counts = self.level_counts
         latency = self._l1i_hit_cycles / core_freq_ghz
         if self.l1i.access(addr):
@@ -142,18 +124,6 @@ class MemoryHierarchy:
         uncore_latency, level = self.uncore.access_fast(addr)
         counts[level] += 1
         return latency + uncore_latency, level
-
-    def data_access(self, addr: int, core_freq_ghz: float,
-                    is_write: bool = False) -> AccessResult:
-        """A load or store (write-allocate) from this core's pipeline."""
-        del is_write  # write-allocate: identical residency behaviour
-        latency, level = self.data_access_fast(addr, core_freq_ghz)
-        return AccessResult(latency, level)
-
-    def fetch_access(self, addr: int, core_freq_ghz: float) -> AccessResult:
-        """An instruction fetch."""
-        latency, level = self.fetch_access_fast(addr, core_freq_ghz)
-        return AccessResult(latency, level)
 
     def reset_stats(self) -> None:
         for cache in (self.l1i, self.l1d, self.l2):

@@ -209,6 +209,16 @@ class StatGroup:
         counter.value = value
         return counter
 
+    def merge(self, other: "StatGroup") -> None:
+        """Copy ``other``'s sub-groups, counters and gauges into this one."""
+        for name, node in other.items():
+            if isinstance(node, StatGroup):
+                self.group(name, node.desc).merge(node)
+            elif isinstance(node, Counter):
+                self.count(name, node.value, node.desc)
+            else:
+                self.scalar(name, node.value, node.desc)
+
     # -- access ------------------------------------------------------------
 
     def __contains__(self, name: str) -> bool:

@@ -45,11 +45,11 @@ from repro.pipeline.schedule import make_slots, schedule_segments
 from repro.pipeline.timing import (
     BASELINE_GRID,
     baseline_timing,
-    build_uncore,
     checker_durations,
     checker_timing,
     grid_time_at,
     main_timing,
+    uncore_partition,
     warm_addresses,
 )
 from repro.pipeline.trace import (
@@ -74,7 +74,6 @@ __all__ = [
     "SystemResult",
     "assemble",
     "baseline_timing",
-    "build_uncore",
     "checker_durations",
     "checker_timing",
     "derive_end_checkpoint",
@@ -90,6 +89,7 @@ __all__ = [
     "run_schedule",
     "schedule_segments",
     "segment_trace",
+    "uncore_partition",
     "verify_sample",
     "warm_addresses",
 ]

@@ -13,7 +13,7 @@ from dataclasses import replace
 from repro.core.simconfig import ParaVerserConfig
 from repro.cpu.config import CoreInstance
 from repro.cpu.functional import RunResult
-from repro.cpu.timing import TimingModel, TimingResult
+from repro.cpu.timing import TimingEvents, TimingModel, TimingResult, replay
 from repro.isa.program import Program
 from repro.mem.hierarchy import SharedUncore
 from repro.noc.traffic import MainTraffic
@@ -52,9 +52,9 @@ def warm_addresses(program: Program):
         yield from range(base, base + length, 64)
 
 
-def build_uncore(config: ParaVerserConfig,
-                 extra_llc_ns: float) -> SharedUncore:
-    """This main core's partition of the shared LLC + DRAM channel."""
+def uncore_partition(config: ParaVerserConfig) -> tuple:
+    """This main core's partition of the shared LLC + DRAM channel:
+    ``(l3, dram, uncore clock)``."""
     hierarchy = config.main.config.hierarchy
     l3 = hierarchy.l3
     dram = hierarchy.dram
@@ -68,45 +68,71 @@ def build_uncore(config: ParaVerserConfig,
         l3 = replace(l3, size_bytes=sets * ways * l3.line_bytes, ways=ways)
         dram = replace(
             dram, peak_bandwidth_gbps=dram.peak_bandwidth_gbps * share)
-    uncore = SharedUncore(l3, dram, hierarchy.uncore_clock_ghz)
+    return l3, dram, hierarchy.uncore_clock_ghz
+
+
+def core_timing(run: RunResult, instance: CoreInstance, partition: tuple,
+                extra_llc_ns: float = 0.0,
+                boundaries: list[int] | None = None,
+                checkpoint_overhead: bool = False,
+                checker_mode: bool = False,
+                ) -> tuple[TimingResult, TimingEvents]:
+    """Time ``instance`` over ``run``'s trace; the result and its events.
+
+    The first timing of a core class simulates a fresh model warmed with
+    :func:`warm_addresses` (main) or its code (checker) and memoises its
+    events on ``run``, keyed by all the walk depends on: hierarchy,
+    predictor, mode and uncore partition.  Later timings of the class
+    replay them at any frequency, boundaries and NoC latency.  Racing
+    fills of one key (threaded checker classes) compute equal events.
+    """
+    core = instance.config
+    key = (core.hierarchy, core.predictor_kib, checker_mode, partition)
+    events = run.timing_events.get(key)
+    if events is not None:
+        return replay(events, instance, extra_llc_ns, boundaries,
+                      checkpoint_overhead), events
+    uncore = SharedUncore(*partition)
     uncore.extra_llc_latency_ns = extra_llc_ns
-    return uncore
+    model = TimingModel(instance, uncore, checker_mode=checker_mode)
+    if checker_mode:
+        model.warm_code(run.program)
+    else:
+        model.warm_data(warm_addresses(run.program))
+    result = model.simulate(run.program, run.columns, boundaries,
+                            checkpoint_overhead)
+    run.timing_events[key] = model.last_events
+    return result, model.last_events
 
 
 def main_timing(config: ParaVerserConfig, run: RunResult,
                 boundaries: list[int] | None,
                 extra_llc_ns: float,
-                uncore: SharedUncore | None = None,
                 checkpoint_overhead: bool | None = None,
                 stats: StatGroup | None = None) -> TimingResult:
     """Time the main core over ``run``'s trace.
 
     With ``stats``, the run's counters and the full cache/DRAM hierarchy
-    state are published into that group after simulation.
+    state are published into that group.
     """
-    model = TimingModel(config.main,
-                        uncore or build_uncore(config, extra_llc_ns))
-    model.warm_data(warm_addresses(run.program))
     if checkpoint_overhead is None:
         checkpoint_overhead = boundaries is not None
-    result = model.simulate(run.program, run.columns, boundaries,
-                            checkpoint_overhead=checkpoint_overhead)
+    result, events = core_timing(run, config.main, uncore_partition(config),
+                                 extra_llc_ns, boundaries,
+                                 checkpoint_overhead)
     if stats is not None:
         result.export_stats(stats, config.main.config)
-        model.hierarchy.export_stats(stats.group("caches"))
-        model.hierarchy.uncore.export_stats(stats.group("uncore"))
+        events.export_stats(stats, extra_llc_ns)
     return result
 
 
 def checker_timing(config: ParaVerserConfig, run: RunResult,
-                   boundaries: list[int], instance: CoreInstance,
-                   uncore: SharedUncore | None = None) -> TimingResult:
+                   boundaries: list[int],
+                   instance: CoreInstance) -> TimingResult:
     """Time one checker class replaying the segments of ``run``."""
-    model = TimingModel(instance, uncore or build_uncore(config, 0.0),
-                        checker_mode=True)
-    model.warm_code(run.program)
-    return model.simulate(run.program, run.columns, boundaries,
-                          checkpoint_overhead=True)
+    return core_timing(run, instance, uncore_partition(config), 0.0,
+                       boundaries, checkpoint_overhead=True,
+                       checker_mode=True)[0]
 
 
 def baseline_timing(ctx: SimContext, run: RunResult) -> TimingResult:
@@ -142,9 +168,9 @@ def checker_durations(
     ``mapper`` is an optional order-preserving ``map(fn, items)`` (the
     stage-graph executor's ``map_ordered``) used to time the classes in
     parallel.  Classes are the fan-out axis because each class's
-    simulation is self-contained: a fresh :class:`TimingModel` over a
-    fresh uncore, reading the shared trace.  Segments within one class
-    must NOT be chunked — the timing model carries microarchitectural
+    simulation is self-contained: events from a freshly warmed model and
+    uncore (see :func:`core_timing`), then a replay.  Segments within one
+    class must NOT be chunked — the timing model carries microarchitectural
     state (branch predictor, ROB, MSHRs, cache contents) across segment
     boundaries, so splitting the trace would change the numbers.  The
     merge is input-order (first-seen class order), so results are

@@ -14,8 +14,7 @@ import pytest
 from repro.core.system import ParaVerserConfig, ParaVerserSystem
 from repro.cpu.config import CoreInstance
 from repro.cpu.presets import A510, X2
-from repro.cpu.timing import TimingModel
-from repro.pipeline.timing import build_uncore, main_timing
+from repro.pipeline.timing import checker_timing, main_timing
 from repro.workloads.generator import build_program
 from repro.workloads.profiles import get_profile
 
@@ -58,11 +57,8 @@ def measured(name: str):
         system = ParaVerserSystem(config)
         run = system.execute(program, INSTRUCTIONS)
         main = main_timing(config, run, None, 0.0)
-        checker = TimingModel(CoreInstance(A510, 2.0),
-                              build_uncore(config, 0.0),
-                              checker_mode=True)
-        checker.warm_code(program)
-        checker_t = checker.simulate(program, run.columns)
+        # No boundaries: one whole-trace checker replay.
+        checker_t = checker_timing(config, run, [], CoreInstance(A510, 2.0))
         _cache[name] = (main, checker_t)
     return _cache[name]
 

@@ -5,7 +5,7 @@ import pytest
 from repro.core.cluster import ClusterSystem
 from repro.cpu.config import CoreInstance
 from repro.cpu.presets import A510, X2
-from repro.pipeline.timing import build_uncore
+from repro.pipeline.timing import uncore_partition
 from repro.workloads.generator import build_parallel_programs, build_program
 from repro.workloads.profiles import get_profile
 
@@ -124,5 +124,5 @@ class TestConstruction:
         )
         for system in cluster.systems:
             assert system.config.llc_share == pytest.approx(0.25)
-        uncore = build_uncore(cluster.systems[0].config, 0.0)
-        assert uncore.l3.config.size_bytes == 2 * 1024 * 1024
+        l3, _, _ = uncore_partition(cluster.systems[0].config)
+        assert l3.size_bytes == 2 * 1024 * 1024

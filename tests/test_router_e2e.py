@@ -172,9 +172,12 @@ class TestChaos:
 
         sender = threading.Thread(target=send)
         sender.start()
-        # The windows are dispatched immediately; the first trial needs
-        # a trace build, so the kill lands while they are in flight.
-        sender.join(timeout=0.5)
+        # Kill as soon as the victim's window is forwarded and not yet
+        # answered: its first trial needs a trace build, so the kill
+        # lands while the window is in flight however fast shards are.
+        deadline = time.monotonic() + TIMEOUT
+        while not victim.inflight and time.monotonic() < deadline:
+            time.sleep(0.001)
         assert sender.is_alive(), "campaign finished before the kill"
         victim.process.kill()
         victim.process.wait()
