@@ -29,7 +29,6 @@ from repro.core.lsl import (
     RecordKind,
     records_from_columns,
 )
-from repro.core.lspu import LoadStorePushUnit, PushedLine
 from repro.core.rcu import RegisterCheckpointUnit
 from repro.core.speculative import (
     AccessOutcome,
@@ -90,12 +89,10 @@ __all__ = [
     "LSLRecord",
     "LoadStoreComparator",
     "LoadStoreLogCache",
-    "LoadStorePushUnit",
     "LogReplayInterface",
     "ParaVerserConfig",
     "ParaVerserError",
     "ParaVerserSystem",
-    "PushedLine",
     "RecordKind",
     "RegisterCheckpointUnit",
     "ReplayDetection",

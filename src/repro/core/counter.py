@@ -10,9 +10,8 @@ contiguous index ranges of the commit trace.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
-from repro.core.lsl import LSLRecord, records_from_columns
+from repro.core.lsl import LSLRecord, records_from_columns, row_entry_bytes
 from repro.cpu.columns import TraceColumns
 from repro.isa.instructions import CACHE_LINE_BYTES
 from repro.isa.registers import RegisterCheckpoint
@@ -30,20 +29,42 @@ class CutReason(enum.Enum):
     PROGRAM_END = "program_end"
 
 
-@dataclass
 class Segment:
-    """One checkpointed interval of main-core execution."""
+    """One checkpointed interval of main-core execution.
 
-    index: int
-    start: int  # trace index, inclusive
-    end: int    # trace index, exclusive
-    records: list[LSLRecord]
-    lsl_bytes: int   # log bytes incl. line padding (what the LSL$ holds)
-    lines: int       # cache lines pushed over the NoC
-    reason: CutReason
-    start_checkpoint: RegisterCheckpoint | None = None
-    end_checkpoint: RegisterCheckpoint | None = None
-    digest: bytes | None = None  # Hash Mode digest of verify metadata
+    A segment cut by :meth:`SegmentBuilder.split` has ``records=None``
+    and its mem-row range ``rows``, and builds its log records the first
+    time they are read; one built with a ``records`` list holds it.
+    """
+
+    __slots__ = ("index", "start", "end", "lsl_bytes", "lines", "reason",
+                 "start_checkpoint", "end_checkpoint", "digest", "_records",
+                 "_rows")
+
+    def __init__(self, index: int, start: int, end: int,
+                 records: list[LSLRecord] | None, lsl_bytes: int,
+                 lines: int, reason: CutReason,
+                 rows: tuple[TraceColumns, int, int] | None = None) -> None:
+        self.index = index
+        self.start = start  # trace index, inclusive
+        self.end = end      # trace index, exclusive
+        self.lsl_bytes = lsl_bytes  # log bytes incl. line padding
+        self.lines = lines  # cache lines pushed over the NoC
+        self.reason = reason
+        self.start_checkpoint: RegisterCheckpoint | None = None
+        self.end_checkpoint: RegisterCheckpoint | None = None
+        self.digest: bytes | None = None  # Hash Mode digest of verify metadata
+        self._records = records
+        self._rows = rows
+
+    @property
+    def records(self) -> list[LSLRecord]:
+        """The segment's log records.  Racing first reads build equal
+        lists; later reads return the stored one."""
+        records = self._records
+        if records is None:
+            records = self._records = records_from_columns(*self._rows)
+        return records
 
     @property
     def instructions(self) -> int:
@@ -75,40 +96,46 @@ class SegmentBuilder:
         self.hash_mode = hash_mode
 
     def split(self, columns: TraceColumns,
-              forced_boundaries: set[int] | None = None) -> list[Segment]:
+              forced_boundaries: set[int] | None = None,
+              row_sizes: tuple | None = None) -> list[Segment]:
         """Segment a trace; ``forced_boundaries`` are interrupt points.
 
-        Only record-bearing instructions (the mem-row plane) are visited;
-        interrupt and timeout cuts between them are computed arithmetically.
-        A forced boundary at the trace end is no interrupt: the last
-        segment ends with ``PROGRAM_END``.
+        Only record-bearing instructions (the mem-row plane) are visited,
+        through their entry sizes (``row_sizes``, :func:`row_entry_bytes`
+        of ``columns`` when not given); interrupt and timeout cuts between
+        them are computed arithmetically.  A forced boundary at the trace
+        end is no interrupt: the last segment ends with ``PROGRAM_END``.
         """
         n = len(columns)
+        indices, plain, hashed = row_sizes or row_entry_bytes(columns)
+        sizes = hashed if self.hash_mode else plain
         forced_sorted = sorted(
             f for f in (forced_boundaries or ()) if 0 < f < n)
         n_forced = len(forced_sorted)
         timeout = self.timeout
         segments: list[Segment] = []
-        records: list[LSLRecord] = []
         seg_start = 0
+        seg_row = 0  # first mem row of the open segment
+        row = 0      # next mem row to visit
         lines_full = 0
         buffer_bytes = 0
         fp = 0  # next forced boundary to consider
 
         def cut(end: int, reason: CutReason) -> None:
-            nonlocal records, seg_start, lines_full, buffer_bytes
+            nonlocal seg_start, seg_row, lines_full, buffer_bytes
             lines = lines_full + (1 if buffer_bytes else 0)
             segments.append(Segment(
                 index=len(segments),
                 start=seg_start,
                 end=end,
-                records=records,
+                records=None,
                 lsl_bytes=lines * self.line_bytes,
                 lines=lines,
                 reason=reason,
+                rows=(columns, seg_row, row),
             ))
-            records = []
             seg_start = end
+            seg_row = row
             lines_full = 0
             buffer_bytes = 0
 
@@ -147,21 +174,18 @@ class SegmentBuilder:
                         break
                     cut(cut_timeout, CutReason.TIMEOUT)
 
-        hash_mode = self.hash_mode
-        for record in records_from_columns(columns):
-            idx = record.trace_index
+        for row, (idx, entry_bytes) in enumerate(zip(indices, sizes)):
             advance(idx)
-            entry_bytes = record.entry_bytes(hash_mode)
             if entry_bytes:
                 new_lines, new_buffer = pack(lines_full, buffer_bytes,
                                              entry_bytes)
                 used = new_lines * self.line_bytes + new_buffer
-                if used > self.capacity and (records or buffer_bytes):
+                if used > self.capacity and (row > seg_row or buffer_bytes):
                     cut(idx, CutReason.LSL_FULL)
                     lines_full, buffer_bytes = pack(0, 0, entry_bytes)
                 else:
                     lines_full, buffer_bytes = new_lines, new_buffer
-            records.append(record)
+        row = len(indices)
         advance(n)
         if seg_start < n:
             cut(n, CutReason.PROGRAM_END)

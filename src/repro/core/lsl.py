@@ -12,6 +12,7 @@ log; verification metadata is folded into a SHA-256 digest instead.
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -121,8 +122,9 @@ def _record_kind_table(program: "Program") -> list[int]:
     return table
 
 
-def records_from_columns(columns: "TraceColumns") -> list[LSLRecord]:
-    """The log records a columnar trace produces, in commit order.
+def records_from_columns(columns: "TraceColumns", lo: int = 0,
+                         hi: int | None = None) -> list[LSLRecord]:
+    """The log records of mem-plane rows ``lo:hi``, in commit order.
 
     Every instruction that produces a log record also emits a mem-plane
     row (and vice versa), so this walks the sparse row plane only.
@@ -136,7 +138,7 @@ def records_from_columns(columns: "TraceColumns") -> list[LSLRecord]:
     out: list[LSLRecord] = []
     append = out.append
     for idx, addr, addr2, size, loaded, loaded2, stored, nonrep \
-            in columns.mem_rows:
+            in columns.mem_rows[lo:hi]:
         kind = table[pcs[idx]]
         if kind == _KIND_LOAD:
             append(LSLRecord(RecordKind.LOAD,
@@ -175,6 +177,18 @@ def records_from_columns(columns: "TraceColumns") -> list[LSLRecord]:
             append(LSLRecord(RecordKind.NONREP,
                              (LSLAccess(0, 8, nonrep, None),), idx))
     return out
+
+
+def row_entry_bytes(columns: "TraceColumns") -> tuple[array, array, array]:
+    """Per mem-plane row: trace index, entry bytes, Hash Mode entry bytes.
+
+    Read off the records, so :meth:`LSLRecord.entry_bytes` stays the one
+    size rule; the records themselves are dropped.
+    """
+    records = records_from_columns(columns)
+    return (array("I", [record.trace_index for record in records]),
+            array("I", [record.entry_bytes(False) for record in records]),
+            array("I", [record.entry_bytes(True) for record in records]))
 
 
 class LoadStoreLogCache:

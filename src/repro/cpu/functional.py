@@ -140,11 +140,31 @@ class MainNonRepSource:
         return 1
 
 
+class TraceMemo:
+    """What the pipeline derives from one trace, kept for every
+    configuration that reads it.  Never serialised with the trace."""
+
+    __slots__ = ("columns", "timing_events", "checkpoints", "row_sizes",
+                 "digests")
+
+    def __init__(self, columns: TraceColumns) -> None:
+        #: The trace every entry derives from.
+        self.columns = columns
+        #: Event streams of :func:`repro.pipeline.timing.core_timing`.
+        self.timing_events: dict = {}
+        #: Trace index -> the checkpoint pass's register checkpoint.
+        self.checkpoints: dict[int, RegisterCheckpoint] = {}
+        #: :func:`repro.core.lsl.row_entry_bytes` of the trace.
+        self.row_sizes: tuple | None = None
+        #: (start, end) -> Hash Mode digest of that range's records.
+        self.digests: dict[tuple[int, int], bytes] = {}
+
+
 class RunResult:
     """Outcome of a functional run (one segment or a whole program)."""
 
     __slots__ = ("program", "columns", "start_checkpoint", "end_checkpoint",
-                 "halted", "instructions", "class_counts", "timing_events")
+                 "halted", "instructions", "class_counts", "_memo")
 
     def __init__(
         self,
@@ -165,9 +185,20 @@ class RunResult:
         self.halted = halted
         self.instructions = instructions
         self.class_counts = {} if class_counts is None else class_counts
-        #: Timing-event memo of :func:`repro.pipeline.timing.core_timing`:
-        #: derived from the trace, never serialised with it.
-        self.timing_events: dict = {}
+        self._memo = TraceMemo(columns)
+
+    @property
+    def memo(self) -> TraceMemo:
+        """The memo of ``columns``: a run whose columns were swapped (a
+        copy with an edited memory plane, say) reads a fresh one."""
+        memo = self._memo
+        if memo.columns is not self.columns:
+            memo = self._memo = TraceMemo(self.columns)
+        return memo
+
+    @property
+    def timing_events(self) -> dict:
+        return self.memo.timing_events
 
     @property
     def final_pc(self) -> int:

@@ -7,6 +7,13 @@ genuine second execution pass, and digests segments in Hash Mode.
 The second pass reads every non-repeatable value (random, timer and
 system-register reads, store-conditional outcomes) from the run's own
 log, as the checker cores do, never from a fresh source.
+
+All of this derives from the main core's execution alone, so the run's
+:attr:`~repro.cpu.functional.RunResult.memo` keeps it for every checker
+pool that segments the same trace: per-row LSL entry sizes, checkpoints
+by trace index and digests by trace range.  The second pass runs once
+per trace for every set of boundaries with one not seen before.
+Segments build their log records only when something reads them.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from repro.core.checker import LogReplayInterface
 from repro.core.counter import Segment, SegmentBuilder
 from repro.core.hashmode import digest_segment
 from repro.core.lsc import LoadStoreComparator
+from repro.core.lsl import row_entry_bytes
 from repro.cpu.functional import (
     DirectMemoryPort,
     FunctionalCore,
@@ -48,16 +56,23 @@ def segment_trace(
 ) -> list[Segment]:
     """Split the trace into segments and fill checkpoints (+ digests)."""
     config = ctx.config
+    memo = run.memo
+    if memo.row_sizes is None:
+        memo.row_sizes = row_entry_bytes(run.columns)
     builder = SegmentBuilder(
         lsl_capacity_bytes=config.lsl_capacity(),
         timeout_instructions=config.timeout_instructions,
         hash_mode=config.hash_mode,
     )
-    segments = builder.split(run.columns, forced_boundaries)
+    segments = builder.split(run.columns, forced_boundaries, memo.row_sizes)
     fill_checkpoints(run, segments, boundary_checkpoints)
     if config.hash_mode:
         for seg in segments:
-            seg.digest = digest_segment(seg.records)
+            key = (seg.start, seg.end)
+            digest = memo.digests.get(key)
+            if digest is None:
+                digest = memo.digests[key] = digest_segment(seg.records)
+            seg.digest = digest
     return segments
 
 
@@ -71,38 +86,48 @@ def fill_checkpoints(
     For single-threaded runs this is a second execution pass of the
     main core that draws its non-repeatable values from the run's log
     (:class:`LoggedNonRep`), so the checkpoints are the logged run's
-    whatever seed produced it.  For multicore traces, quantum-boundary
-    checkpoints captured during the original run are used where they
-    align (``known``), and the remainder are derived by healthy log
-    replay, which is exact by construction.
+    whatever seed produced it.  The pass runs when some segment end has
+    no checkpoint in the run's memo yet, over every end requested, and
+    memoises what it captures; one pass per trace then serves every
+    configuration that cuts at the same indices.  For multicore traces,
+    quantum-boundary checkpoints captured during the original run are
+    used where they align (``known``), and the remainder are derived by
+    healthy log replay, which is exact by construction.
     """
-    known = known or {}
     if not segments:
         return
-    rerun_core: FunctionalCore | None = None
+    ends = known
     if not known:
-        memory = Memory(run.program.memory_image)
-        logged = LoggedNonRep(run)
-        rerun_core = FunctionalCore(run.program, DirectMemoryPort(memory),
-                                    nonrep=logged)
-        logged.core = rerun_core
+        ends = run.memo.checkpoints
+        if any(seg.end not in ends for seg in segments):
+            _checkpoint_pass(run, segments, ends)
     previous = run.start_checkpoint
     for seg in segments:
         seg.start_checkpoint = previous
-        if seg.end in known:
-            seg.end_checkpoint = known[seg.end]
-        elif rerun_core is not None:
-            chunk = rerun_core.run(seg.instructions, record_trace=False)
-            if chunk.instructions != seg.instructions:
-                raise RuntimeError(
-                    "checkpoint pass diverged from the first run: "
-                    f"{chunk.instructions} != {seg.instructions}"
-                )
-            logged.check_drained(seg.end)
-            seg.end_checkpoint = chunk.end_checkpoint
+        if seg.end in ends:
+            seg.end_checkpoint = ends[seg.end]
         else:
             seg.end_checkpoint = derive_end_checkpoint(run.program, seg)
         previous = seg.end_checkpoint
+
+
+def _checkpoint_pass(run: RunResult, segments: list[Segment],
+                     out: dict[int, RegisterCheckpoint]) -> None:
+    """Re-execute the trace, storing each segment's end checkpoint."""
+    memory = Memory(run.program.memory_image)
+    logged = LoggedNonRep(run)
+    core = FunctionalCore(run.program, DirectMemoryPort(memory),
+                          nonrep=logged)
+    logged.core = core
+    for seg in segments:
+        chunk = core.run(seg.instructions, record_trace=False)
+        if chunk.instructions != seg.instructions:
+            raise RuntimeError(
+                "checkpoint pass diverged from the first run: "
+                f"{chunk.instructions} != {seg.instructions}"
+            )
+        logged.check_drained(seg.end)
+        out[seg.end] = chunk.end_checkpoint
 
 
 class LoggedNonRep:

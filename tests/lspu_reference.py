@@ -1,4 +1,4 @@
-"""Load-Store Push Unit (LSPU).
+"""Load-Store Push Unit (LSPU): the line-packing reference.
 
 Main-core side (section IV-C): buffers one cache line's worth of LSL
 entries at commit, fusing micro-ops of a macro-op into one ISA-level entry,
@@ -7,6 +7,9 @@ scratch traffic, not coherent traffic, so it bypasses the directory/LLC.
 
 An entry larger than the remaining space in the current line spills to the
 next line; only an entry larger than a whole line straddles lines.
+
+The simulator sizes segments with ``SegmentBuilder.split``'s ``pack``
+rule; the tests hold that rule to this push-by-push model.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.checker import CheckerCore
 from repro.core.lsl import RecordKind, records_from_columns
-from repro.core.lspu import LoadStorePushUnit
+from tests.lspu_reference import LoadStorePushUnit
 from repro.core.system import CheckMode, ParaVerserConfig, ParaVerserSystem
 from repro.cpu.config import CoreInstance
 from repro.cpu.functional import DirectMemoryPort, FunctionalCore

